@@ -1,9 +1,10 @@
 """Which program callables the traced run wraps, and how the spans of
 one traced cycle become the per-layer metrics of ``BENCHMARK.json``.
 
-A traced cycle opens three top-level spans of the benchmark's own:
+A traced cycle opens top-level spans of the benchmark's own:
 ``summarize`` (one ``slugger()`` call), ``query`` (index build, neighbour
-passes, BFS, full decodes) and ``sweg`` (one ``sweg()`` call). Spans of
+passes, BFS, full decodes), ``sweg`` (one ``sweg()`` call) and a second
+``query``. Spans of
 shared callees (``assign_groups`` runs under both SLUGGER and SWEG) are
 attributed to the top-level span they descend from.
 """

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """SLUGGER benchmark: one workload, one closed loop, one JSON line.
 
-    python3 perfbench/run.py --workload merge_sparse --seed 0 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload merge_sparse --seed 0 --seconds 35 --trace 0
 
 Run from the root of a checkout; the program is imported from ``src/``
 (no install needed). One caller in one process runs cycles of
-summarize / query / sweg (``workloads.py``) until ``--seconds`` have
-passed, checking every output:
+summarize / query / sweg / query (``workloads.py``) while a whole cycle
+still fits in ``--seconds``, then query chunks until the time is up,
+checking every output:
 
 - every SLUGGER summary decodes (``decode_pd``) to exactly the input;
 - every repeat's summary hash equals the first one's;

@@ -16,7 +16,9 @@ from contextlib import contextmanager
 from pyspark import SparkContext
 from pyspark.sql import SparkSession
 
-MAX_CORES = 2  # worker slots; small, so the benchmark stays light on memory
+# One worker slot: a second one made sweg() slower on these inputs
+# (3.7 s against 4.4 s at 600 nodes) and adds a process to every timing.
+MAX_CORES = 1
 
 
 def start(tmp_dir: str) -> SparkSession:
