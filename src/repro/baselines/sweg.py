@@ -6,7 +6,7 @@ flat encoding. Within a group, Saving(A, B) is computed from exact
 per-supernode-pair subedge counts (the original uses a SuperJaccard
 approximation for speed; the exact-count variant is the same algorithm
 with a sharper score — documented in DESIGN.md). Groups are processed in
-parallel via ``applyInPandas`` exactly like SLUGGER's merging step;
+parallel via ``groupBy("gid").applyInPandas``, one call per group;
 counts are recomputed from the edge set between rounds (distributed
 SWeG's per-round staleness model).
 """

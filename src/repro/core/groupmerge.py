@@ -9,17 +9,22 @@ p/n-edges locally via the memoized Case-1/Case-2 solvers
 global phase (:mod:`repro.core.consolidate`) will apply, so local Saving
 scores match the global outcome.
 
-Groups are independent: the Spark driver runs one worker per group via
-``groupBy("gid").applyInPandas`` (DESIGN.md §3.2). The same worker runs
-in-process for the ``engine="local"`` test path — results are identical
-by construction and covered by an equivalence test.
-
-Worker I/O is a tall DataFrame: (gid, kind, x, y, v) with kinds
-``root|node|hedge|pedge|ext|radj`` in, ``merge|pedge`` out.
+Worker input is a batch of int64 rows ``(gid, kind, x, y, v)`` covering
+the multi-root groups of one round; the driver passes single-root groups
+through without a worker (DESIGN.md §3.2). :func:`run_bucket` orders a
+batch by gid once and hands each group's rows to :func:`run_group` as
+Python lists, one slice per kind (``ROOT..RADJ``). Every worker returns
+its ``(merges, pedges)`` tuples, which come back as ``(kind, x, y, v)``
+rows of kind ``MERGE`` or ``PEDGE``. The local engine calls
+:func:`run_bucket` on the whole batch; the Spark engine runs it under
+``applyInPandas`` over ``gid % defaultParallelism`` buckets. Groups are
+independent (per-gid RNG seed and supernode ids), so both engines give
+the same summary.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import defaultdict
 
 import numpy as np
@@ -27,18 +32,24 @@ import pandas as pd
 
 from . import localenc as L
 
-TALL_SCHEMA = "gid long, kind string, x long, y long, v long"
-OUT_SCHEMA = "gid long, kind string, x long, y long, v long"
+# worker row kinds, in the order a worker consumes them; MERGE is output-only
+ROOT, NODE, HEDGE, PEDGE, EXT, RADJ, MERGE = range(7)
+TALL_SCHEMA = "bucket long, row long, gid long, kind long, x long, y long, v long"
+OUT_SCHEMA = "kind long, x long, y long, v long"
 
 ID_BASE = 1 << 40  # internal supernode ids live above all subnode ids
 NO_MERGE = -10**18  # Saving sentinel for infeasible pairs
 
 
+T_BITS, GID_BITS, SEQ_BITS = 7, 24, 10  # field widths of new_id
+
+
 def new_id(t: int, gid: int, seq: int) -> int:
     """Globally unique internal supernode id, collision-free across groups
-    and iterations (gid < 2^24, seq < 2^10, t < 2^7)."""
-    assert gid < (1 << 24) and seq < (1 << 10) and t < (1 << 7)
-    return ID_BASE + (((t << 24) | gid) << 10) + seq
+    and iterations. ``slugger()`` checks t < 2**T_BITS and gid < n_sub <
+    2**GID_BITS up front; seq < 2**SEQ_BITS holds because a group has at
+    most ``candidates.MAX_SIZE`` roots."""
+    return ID_BASE + (((t << GID_BITS) | gid) << SEQ_BITS) + seq
 
 
 def _canon(x: int, y: int) -> tuple[int, int]:
@@ -49,24 +60,25 @@ class GroupWorker:
     """Mutable in-memory state of one candidate set during Algorithm 2."""
 
     def __init__(self, gid: int, t: int, theta: float, seed: int, hb: int,
-                 roots: list[int], node_rows: pd.DataFrame,
-                 hedge_rows: pd.DataFrame, pedge_rows: pd.DataFrame,
-                 ext_rows: pd.DataFrame, radj_rows: pd.DataFrame):
+                 roots, nodes, hedges, pedges, ext, radj):
+        """``roots``: root ids; ``nodes``: (node, size, root) for every tree
+        node; ``hedges``: (parent, child); ``pedges``: intra-group
+        (x, y, sign); ``ext``: (member node, external node, sign);
+        ``radj``: (member root, adjacent root) G-adjacency."""
         self.gid, self.t, self.theta, self.hb = gid, t, theta, hb
         self.rng = random.Random(seed)
-        self.roots: set[int] = set(int(r) for r in roots)
+        self.roots: set[int] = set(roots)
         # --- tree structure ---
         self.children: dict[int, list[int]] = defaultdict(list)
         self.parent: dict[int, int] = {}
-        for p, c in zip(hedge_rows["x"].astype(int), hedge_rows["y"].astype(int)):
+        for p, c in hedges:
             self.children[p].append(c)
             self.parent[c] = p
-        self.size: dict[int, int] = dict(
-            zip(node_rows["x"].astype(int), node_rows["y"].astype(int))
-        )
-        self.static_root: dict[int, int] = dict(
-            zip(node_rows["x"].astype(int), node_rows["v"].astype(int))
-        )
+        self.size: dict[int, int] = {}
+        self.static_root: dict[int, int] = {}
+        for v, sz, r in nodes:
+            self.size[v] = sz
+            self.static_root[v] = r
         # DSU over root labels: label -> newer label after a merge
         self.label_up: dict[int, int] = {}
         # per-root aggregates
@@ -94,25 +106,18 @@ class GroupWorker:
         self.adj: dict[int, dict[int, int]] = defaultdict(dict)
         self.pmap: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
         self.inc: dict[int, int] = defaultdict(int)
-        for x, y, s in zip(
-            pedge_rows["x"].astype(int), pedge_rows["y"].astype(int),
-            pedge_rows["v"].astype(int),
-        ):
-            self._add_edge(int(x), int(y), int(s))
+        for x, y, s in pedges:
+            self._add_edge(x, y, s)
         # --- edges to external supernodes ---
         self.ext_adj: dict[int, dict[int, int]] = defaultdict(dict)
-        for x, y, s in zip(
-            ext_rows["x"].astype(int), ext_rows["y"].astype(int),
-            ext_rows["v"].astype(int),
-        ):
-            self.ext_adj[int(x)][int(y)] = int(s)
-            self.inc[self.treeof(int(x))] += 1
-            self._bump_ndeg(int(x), 1)
+        for x, y, s in ext:
+            self.ext_adj[x][y] = s
+            self.inc[self.treeof(x)] += 1
+            self._bump_ndeg(x, 1)
         # --- root-level G-adjacency for the distance<=2 candidate filter ---
         self.nbr: dict[int, set[int]] = defaultdict(set)  # member neighbors
         self.extnbr: dict[int, set[int]] = defaultdict(set)  # external neighbors
-        for a, b in zip(radj_rows["x"].astype(int), radj_rows["y"].astype(int)):
-            a, b = int(a), int(b)
+        for a, b in radj:
             if b in self.roots:
                 self.nbr[a].add(b)
                 self.nbr[b].add(a)
@@ -452,38 +457,49 @@ class GroupWorker:
 
     # ----------------------------------------------------------------- I/O
 
-    def output(self) -> pd.DataFrame:
-        rows = []
-        for a, b, u in self.merges:
-            rows.append((self.gid, "merge", a, b, u))
-        for (x, y), s in self.edges.items():
-            rows.append((self.gid, "pedge", x, y, s))
-        return pd.DataFrame(rows, columns=["gid", "kind", "x", "y", "v"]).astype(
-            {"gid": np.int64, "x": np.int64, "y": np.int64, "v": np.int64}
-        )
+    def output(self) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+        """(merges (A, B, U) in merge order, p/n-edges (x, y, sign))."""
+        return self.merges, [(x, y, s) for (x, y), s in self.edges.items()]
 
 
-def run_group(tall: pd.DataFrame, t: int, big_t: int, seed: int, hb: int) -> pd.DataFrame:
-    """Process one group's tall rows; used by applyInPandas and locally."""
-    if len(tall) == 0:
-        return pd.DataFrame(columns=["gid", "kind", "x", "y", "v"])
-    gid = int(tall["gid"].iloc[0])
-    theta = 1.0 / (1 + t) if t < big_t else 0.0
-    by_kind = {k: g for k, g in tall.groupby("kind")}
-    empty = tall.iloc[0:0]
-    roots = by_kind.get("root", empty)["x"].astype(int).tolist()
+def run_group(gid: int, kind: list[int], x: list[int], y: list[int], v: list[int],
+              t: int, big_t: int, seed: int, hb: int):
+    """Algorithm 2 over one group's rows (parallel lists sorted by kind);
+    returns the worker's ``output()``."""
+    cut = [bisect_left(kind, k) for k in range(RADJ + 2)]
+
+    def rows(k: int, *cols: list[int]):
+        return zip(*(c[cut[k]:cut[k + 1]] for c in cols))
+
     w = GroupWorker(
         gid=gid,
         t=t,
-        theta=theta,
+        theta=1.0 / (1 + t) if t < big_t else 0.0,
         seed=(seed * 1_000_003 + t * 7919 + gid) & 0x7FFFFFFF,
         hb=hb,
-        roots=roots,
-        node_rows=by_kind.get("node", empty),
-        hedge_rows=by_kind.get("hedge", empty),
-        pedge_rows=by_kind.get("pedge", empty),
-        ext_rows=by_kind.get("ext", empty),
-        radj_rows=by_kind.get("radj", empty),
+        roots=x[cut[ROOT]:cut[ROOT + 1]],
+        nodes=rows(NODE, x, y, v),
+        hedges=rows(HEDGE, x, y),
+        pedges=rows(PEDGE, x, y, v),
+        ext=rows(EXT, x, y, v),
+        radj=rows(RADJ, x, y),
     )
     w.run()
     return w.output()
+
+
+def run_bucket(rows: pd.DataFrame, t: int, big_t: int, seed: int, hb: int) -> pd.DataFrame:
+    """Run every group of a batch of worker rows (``TALL_SCHEMA``, any row
+    order; ``row`` is the driver's emission order). Returns the merges and
+    p/n-edges of all groups as ``OUT_SCHEMA`` rows, each group's in order."""
+    order = np.lexsort((rows["row"].to_numpy(), rows["kind"].to_numpy(), rows["gid"].to_numpy()))
+    gid, kind, x, y, v = (rows[c].to_numpy()[order] for c in ("gid", "kind", "x", "y", "v"))
+    cuts = np.flatnonzero(np.diff(gid, prepend=-1, append=-1)).tolist()  # group starts + end
+    gid, kind, x, y, v = (a.tolist() for a in (gid, kind, x, y, v))
+    out: list[tuple[int, int, int, int]] = []
+    for s, e in zip(cuts[:-1], cuts[1:]):
+        merges, pedges = run_group(gid[s], kind[s:e], x[s:e], y[s:e], v[s:e],
+                                   t, big_t, seed, hb)
+        out.extend((MERGE, *m) for m in merges)
+        out.extend((PEDGE, *p) for p in pedges)
+    return pd.DataFrame(out, columns=["kind", "x", "y", "v"], dtype=np.int64)

@@ -5,24 +5,25 @@ The per-iteration dataflow (DESIGN.md §3.2):
 
 1. shingle-based candidate sets over current roots (numpy fast path; the
    Spark twin in :mod:`repro.core.hashing` is equivalence-tested);
-2. a tall (gid, kind, x, y, v) DataFrame ships each group its member
-   trees, intra-group p/n-edges, read-only external edges and root-level
-   G-adjacency;
-3. ``groupBy("gid").applyInPandas(run_group)`` runs Algorithm 2 per
-   candidate set in parallel across Spark partitions
-   (``engine="local"`` runs the identical worker in-process for tests);
+2. a candidate set holding one root cannot merge: its intra-group
+   p/n-edges go straight to the next round on the driver. Every
+   multi-root set gets int64 worker rows (its member trees, intra-group
+   p/n-edges, read-only external edges and root-level G-adjacency);
+3. :func:`repro.core.groupmerge.run_bucket` runs Algorithm 2 per
+   multi-root set: in-process over all rows (``engine="local"``), or
+   under ``groupBy("bucket").applyInPandas`` over ``gid %
+   defaultParallelism`` buckets (``engine="spark"``);
 4. cross-group edges are lifted by :func:`repro.core.consolidate.consolidate`;
 5. driver state (supernode forest + edge tables) is re-materialized —
    the checkpoint between iterations.
 
 ``hb`` > 0 enables the Table-V height-bound variant. ``snapshot_ts``
-yields pruned summaries at intermediate iteration counts so one T=40 run
-produces the whole Table-III row.
+yields pruned copies of the state at intermediate iteration counts (the
+run itself continues unaffected).
 """
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..model.summary import HierSummary, empty_hedges
-from . import candidates, groupmerge
+from . import candidates
+from . import groupmerge as gm
 from .consolidate import consolidate
 from .pruning import prune
 
@@ -56,7 +58,7 @@ class _DriverState:
         self.tree_tag: dict[int, int] = {}
         self.root_up: dict[int, int] = {}
         self.pedges: list[tuple[int, int, int]] = [
-            (int(s), int(d), 1) for s, d in zip(edges["src"], edges["dst"])
+            (s, d, 1) for s, d in zip(edges["src"].tolist(), edges["dst"].tolist())
         ]
         self.leaf_root = np.arange(n_sub, dtype=np.int64)
 
@@ -109,44 +111,52 @@ class _DriverState:
         return HierSummary(n_sub=self.n_sub, nodes=nodes, hedges=hedges, pedges=pedges)
 
 
-def _tall_rows(state: _DriverState, edges: pd.DataFrame, gid_of: dict[int, int]):
-    """Build the tall worker-input rows and the read-only cross edge list."""
-    rows: list[tuple[int, str, int, int, int]] = []
-    # roots + their trees
+def _worker_rows(state: _DriverState, edges: pd.DataFrame, gid_of: dict[int, int],
+                 multi: list[bool]):
+    """Split one round: worker rows (gid, kind, x, y, v) of the multi-root
+    groups, the intra-group p/n-edges of single-root groups (passed on
+    unchanged) and the cross-group edges (for consolidation)."""
+    rows: list[tuple[int, int, int, int, int]] = []
     node_root: dict[int, int] = {}
     for r, g in gid_of.items():
-        rows.append((g, "root", r, 0, 0))
+        work = multi[g]
+        if work:
+            rows.append((g, gm.ROOT, r, 0, 0))
         stack = [r]
         while stack:
             v = stack.pop()
             node_root[v] = r
-            rows.append((g, "node", v, state.size[v], r))
-            for c in state.children.get(v, []):
-                rows.append((g, "hedge", v, c, 0))
-                stack.append(c)
-    # p/n-edges: intra-group vs cross-group
+            kids = state.children.get(v, ())
+            stack.extend(kids)
+            if work:
+                rows.append((g, gm.NODE, v, state.size[v], r))
+                rows.extend((g, gm.HEDGE, v, c, 0) for c in kids)
+    passed: list[tuple[int, int, int]] = []
     cross: list[tuple[int, int, int]] = []
-    for x, y, s in state.pedges:
-        rx, ry = node_root[x], node_root[y]
-        gx, gy = gid_of[rx], gid_of[ry]
+    for e in state.pedges:
+        x, y, s = e
+        gx, gy = gid_of[node_root[x]], gid_of[node_root[y]]
         if gx == gy:
-            rows.append((gx, "pedge", x, y, s))
-        else:
-            cross.append((x, y, s))
-            rows.append((gx, "ext", x, y, s))
-            rows.append((gy, "ext", y, x, s))
+            if multi[gx]:
+                rows.append((gx, gm.PEDGE, x, y, s))
+            else:
+                passed.append(e)
+            continue
+        cross.append(e)
+        if multi[gx]:
+            rows.append((gx, gm.EXT, x, y, s))
+        if multi[gy]:
+            rows.append((gy, gm.EXT, y, x, s))
     # root-level G-adjacency (distance filter); both directions
     lr = state.leaf_root
     ra = lr[edges["src"].to_numpy()]
     rb = lr[edges["dst"].to_numpy()]
     mask = ra != rb
-    pairs = set(zip(ra[mask].tolist(), rb[mask].tolist()))
-    for x, y in pairs:
-        rows.append((gid_of[x], "radj", x, y, 0))
-        rows.append((gid_of[y], "radj", y, x, 0))
-    tall = pd.DataFrame(rows, columns=["gid", "kind", "x", "y", "v"])
-    tall[["gid", "x", "y", "v"]] = tall[["gid", "x", "y", "v"]].astype(np.int64)
-    return tall, cross
+    for x, y in set(zip(ra[mask].tolist(), rb[mask].tolist())):
+        for a, b in ((x, y), (y, x)):
+            if multi[gid_of[a]]:
+                rows.append((gid_of[a], gm.RADJ, a, b, 0))
+    return rows, passed, cross
 
 
 def _run_round(
@@ -160,40 +170,60 @@ def _run_round(
     spark: SparkSession | None,
 ) -> None:
     groups = candidates.assign_groups(edges, state.leaf_root, seed, t)
-    gid_of = dict(zip(groups["root"].astype(int), groups["gid"].astype(int)))
-    tall, cross = _tall_rows(state, edges, gid_of)
+    gids = groups["gid"].to_numpy()
+    gid_of = dict(zip(groups["root"].tolist(), gids.tolist()))
+    multi = (np.bincount(gids) > 1).tolist()
+    rows, passed, cross = _worker_rows(state, edges, gid_of, multi)
+    tall = pd.DataFrame(np.array(rows, dtype=np.int64).reshape(-1, 5),
+                        columns=["gid", "kind", "x", "y", "v"])
+    tall.insert(0, "row", np.arange(len(tall), dtype=np.int64))
     if engine == "spark":
         assert spark is not None, "engine='spark' needs a SparkSession"
-        tall_df = spark.createDataFrame(tall, schema=groupmerge.TALL_SCHEMA)
+        tall.insert(0, "bucket", tall["gid"] % spark.sparkContext.defaultParallelism)
         out = (
-            tall_df.groupBy("gid")
+            spark.createDataFrame(tall, schema=gm.TALL_SCHEMA)
+            .groupBy("bucket")
             .applyInPandas(
-                lambda pdf: groupmerge.run_group(pdf, t, big_t, seed, hb),
-                schema=groupmerge.OUT_SCHEMA,
+                lambda pdf: gm.run_bucket(pdf, t, big_t, seed, hb),
+                schema=gm.OUT_SCHEMA,
             )
             .toPandas()
         )
     else:
-        parts = [
-            groupmerge.run_group(g, t, big_t, seed, hb)
-            for _, g in tall.groupby("gid", sort=True)
-        ]
-        out = (
-            pd.concat(parts, ignore_index=True)
-            if parts
-            else pd.DataFrame(columns=["gid", "kind", "x", "y", "v"])
-        )
-    merges = [
-        (int(r.x), int(r.y), int(r.v))
-        for r in out[out["kind"] == "merge"].itertuples()
-    ]
-    intra = [
-        (int(r.x), int(r.y), int(r.v))
-        for r in out[out["kind"] == "pedge"].itertuples()
-    ]
+        out = gm.run_bucket(tall, t, big_t, seed, hb)
+    kind = out["kind"].to_numpy()
+    xyv = out[["x", "y", "v"]].to_numpy(dtype=np.int64)
+    merges = list(map(tuple, xyv[kind == gm.MERGE].tolist()))
+    intra = list(map(tuple, xyv[kind == gm.PEDGE].tolist()))
     state.apply_merges(merges)
     lifted = consolidate(cross, state.children) if cross else []
-    state.pedges = intra + [tuple(e) for e in lifted]
+    state.pedges = passed + intra + lifted
+
+
+def _check_input(edges: pd.DataFrame, n_sub: int, T: int) -> None:
+    """Reject inputs the summary cannot represent or the supernode ids
+    cannot hold, naming the first offending pair (O(|E|) numpy)."""
+    if not 0 <= T < 1 << gm.T_BITS:
+        raise ValueError(f"T={T} is outside [0, {1 << gm.T_BITS}): "
+                         f"supernode ids hold the round in {gm.T_BITS} bits")
+    if not 0 <= n_sub < 1 << gm.GID_BITS:
+        raise ValueError(f"n_sub={n_sub} is outside [0, 2**{gm.GID_BITS}): "
+                         f"supernode ids hold the candidate-set id in {gm.GID_BITS} bits")
+    src = edges["src"].to_numpy()
+    dst = edges["dst"].to_numpy()
+    for bad, what in (
+        (src == dst, "self-loop"),
+        (src > dst, "non-canonical pair (need src < dst)"),
+        ((src < 0) | (dst >= n_sub), f"id outside [0, {n_sub})"),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{what} ({src[i]}, {dst[i]}) in edges")
+    key = np.sort(src.astype(np.int64) * n_sub + dst)
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    if len(dup):
+        k = int(key[dup[0]])
+        raise ValueError(f"duplicate pair ({k // n_sub}, {k % n_sub}) in edges")
 
 
 def slugger(
@@ -209,14 +239,18 @@ def slugger(
     do_prune: bool = True,
     snapshot_ts: tuple[int, ...] = (),
 ) -> SluggerResult:
-    """Run SLUGGER on a canonical pandas edge list.
+    """Run SLUGGER on a canonical pandas edge list: simple undirected
+    edges stored once with ``0 <= src < dst < n_sub`` (anything else
+    raises ``ValueError``), ``0 <= T < 128`` and ``n_sub < 2**24``.
 
     ``hb``: height bound (0 = unlimited, Table V). ``engine``: "spark"
-    (groups via applyInPandas) or "local" (same worker, in-process).
+    (group workers under applyInPandas) or "local" (same batch function,
+    in-process).
     ``snapshot_ts``: iteration counts at which to snapshot a *pruned copy*
     of the state (Table III); the run continues unaffected.
     """
     t0 = time.perf_counter()
+    _check_input(edges, n_sub, T)
     state = _DriverState(edges, n_sub)
     snapshots: dict[int, HierSummary] = {}
     for t in range(1, T + 1):

@@ -7,7 +7,6 @@ paper reports those as missing bars).
 """
 from __future__ import annotations
 
-import time
 from typing import Any
 
 import pandas as pd
@@ -44,7 +43,6 @@ def run_method(
 ) -> dict:
     """Run one summarizer; returns {method, relative_size, elapsed_s, ...}."""
     m_edges = len(edges)
-    t0 = time.perf_counter()
     if method == "slugger":
         res = slugger(edges, n_sub, T=T, seed=seed, engine=engine, spark=spark, **kw)
         met = metrics(res.summary, m_edges)
@@ -67,7 +65,6 @@ def run_method(
         elapsed = res.elapsed_s
     else:
         raise ValueError(f"unknown method {method}")
-    _ = time.perf_counter() - t0
     if met is None:
         return {"method": method, "relative_size": None, "elapsed_s": elapsed}
     return {

@@ -31,18 +31,10 @@ def make_worker(roots, hedges=(), pedges=(), ext=(), radj=(), sizes=None,
             return 1
         return sum(sz(c) for c in kids)
 
-    node_rows = pd.DataFrame(
-        [(v, sizes[v] if sizes else sz(v), rootof(v)) for v in sorted(all_nodes)],
-        columns=["x", "y", "v"],
-    )
+    nodes = [(v, sizes[v] if sizes else sz(v), rootof(v)) for v in sorted(all_nodes)]
     return gm.GroupWorker(
-        gid=0, t=1, theta=theta, seed=seed, hb=hb,
-        roots=list(roots),
-        node_rows=node_rows,
-        hedge_rows=pd.DataFrame(hedges, columns=["x", "y"]) if hedges else pd.DataFrame(columns=["x", "y"]),
-        pedge_rows=pd.DataFrame(pedges, columns=["x", "y", "v"]) if pedges else pd.DataFrame(columns=["x", "y", "v"]),
-        ext_rows=pd.DataFrame(ext, columns=["x", "y", "v"]) if ext else pd.DataFrame(columns=["x", "y", "v"]),
-        radj_rows=pd.DataFrame(radj, columns=["x", "y"]) if radj else pd.DataFrame(columns=["x", "y"]),
+        gid=0, t=1, theta=theta, seed=seed, hb=hb, roots=list(roots), nodes=nodes,
+        hedges=list(hedges), pedges=list(pedges), ext=list(ext), radj=list(radj),
     )
 
 
@@ -152,35 +144,80 @@ class TestMergeEncoding:
         assert len(w.merges) >= 1
 
     def test_output_schema(self):
-        w = make_worker([0, 1, 2], pedges=[(0, 1, 1), (0, 2, 1), (1, 2, 1)],
-                        radj=[(0, 1), (0, 2), (1, 2)], theta=0.0)
+        # K4 merges at theta=0: output is (merges, p/n-edges) as int triples
+        pe = [(a, b, 1) for a in range(4) for b in range(a + 1, 4)]
+        ra = [(a, b) for a in range(4) for b in range(4) if a != b]
+        w = make_worker([0, 1, 2, 3], pedges=pe, radj=ra, theta=0.0)
         w.run()
-        out = w.output()
-        assert set(out.columns) == {"gid", "kind", "x", "y", "v"}
-        assert set(out["kind"]) <= {"merge", "pedge"}
+        merges, pedges = w.output()
+        assert merges == w.merges and len(merges) >= 1
+        assert all(len(m) == 3 and m[2] >= gm.ID_BASE for m in merges)
+        assert sorted(pedges) == sorted((x, y, s) for (x, y), s in w.edges.items())
+
+
+def group_rows(gid, pairs):
+    """Worker rows of one group of singleton roots joined by ``pairs``."""
+    vs = sorted({v for pair in pairs for v in pair})
+    rows = [(gid, gm.ROOT, v, 0, 0) for v in vs]
+    rows += [(gid, gm.NODE, v, 1, v) for v in vs]
+    for a, b in pairs:
+        rows.append((gid, gm.PEDGE, a, b, 1))
+        rows += [(gid, gm.RADJ, a, b, 0), (gid, gm.RADJ, b, a, 0)]
+    return rows
+
+
+def clique_rows(gid, n, base=0):
+    return group_rows(gid, [(a, b) for a in range(base, base + n)
+                            for b in range(a + 1, base + n)])
+
+
+def as_lists(rows):
+    """(gid, kind, x, y, v) rows -> run_group's parallel lists, by kind."""
+    _, kind, x, y, v = (list(c) for c in zip(*sorted(rows, key=lambda r: r[1])))
+    return kind, x, y, v
 
 
 class TestRunGroup:
     def test_empty_group(self):
-        out = gm.run_group(pd.DataFrame(columns=["gid", "kind", "x", "y", "v"]), 1, 5, 0, 0)
-        assert len(out) == 0
+        assert gm.run_group(0, [], [], [], [], 1, 5, 0, 0) == ([], [])
 
     def test_deterministic_in_seed(self):
-        rows = []
-        for v in range(6):
-            rows.append((0, "root", v, 0, 0))
-            rows.append((0, "node", v, 1, v))
-        for a in range(6):
-            for b in range(a + 1, 6):
-                rows.append((0, "pedge", a, b, 1))
-                rows.append((0, "radj", a, b, 0))
-                rows.append((0, "radj", b, a, 0))
-        tall = pd.DataFrame(rows, columns=["gid", "kind", "x", "y", "v"])
-        o1 = gm.run_group(tall, 1, 1, 42, 0)
-        o2 = gm.run_group(tall, 1, 1, 42, 0)
-        pd.testing.assert_frame_equal(o1, o2)
+        lists = as_lists(clique_rows(0, 6))
+        o1 = gm.run_group(0, *lists, 1, 1, 42, 0)
+        o2 = gm.run_group(0, *lists, 1, 1, 42, 0)
+        assert o1 == o2
+        assert o1[0], "a 6-clique merges at theta=0"
 
     def test_new_ids_unique_across_groups(self):
         ids = {gm.new_id(t, g, s) for t in (1, 2) for g in (0, 1, 7) for s in (0, 1)}
         assert len(ids) == 12
         assert min(ids) >= gm.ID_BASE
+
+
+class TestRunBucket:
+    @staticmethod
+    def frame(rows):
+        df = pd.DataFrame(rows, columns=["gid", "kind", "x", "y", "v"], dtype=np.int64)
+        df.insert(0, "row", np.arange(len(df), dtype=np.int64))
+        df.insert(0, "bucket", 0)
+        return df
+
+    def test_empty_batch(self):
+        out = gm.run_bucket(self.frame([]), 1, 5, 0, 0)
+        assert len(out) == 0 and list(out.columns) == ["kind", "x", "y", "v"]
+
+    def test_batch_equals_groups_in_any_row_order(self):
+        # three groups' rows shuffled together: run_bucket restores the
+        # driver's row order and runs each group exactly as run_group does
+        # (the path never merges, so its p/n-edges come back in row order)
+        path = group_rows(9, [(v, v + 1) for v in range(20, 28)])
+        rows = clique_rows(3, 5) + clique_rows(7, 4, base=10) + path
+        df = self.frame(rows).sample(frac=1.0, random_state=0)
+        out = gm.run_bucket(df, 1, 1, 42, 0)
+        want = []
+        for gid in (3, 7, 9):
+            merges, pedges = gm.run_group(gid, *as_lists(r for r in rows if r[0] == gid),
+                                          1, 1, 42, 0)
+            want += [(gm.MERGE, *m) for m in merges] + [(gm.PEDGE, *p) for p in pedges]
+        assert list(out.itertuples(index=False, name=None)) == want
+        assert set(out["kind"]) == {gm.MERGE, gm.PEDGE}

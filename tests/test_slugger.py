@@ -1,9 +1,13 @@
 """End-to-end SLUGGER tests: losslessness on every graph family, engine
-equivalence, threshold/iteration behaviour, height bounds."""
+equivalence, threshold/iteration behaviour, height bounds, pinned summary
+hashes and the input contract."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import candidates
 from repro.core.slugger import slugger
 from repro.graphs import datasets
 from repro.graphs import generators as gen
@@ -53,6 +57,45 @@ class TestLossless:
         assert_lossless_pd(res.summary, edges)
 
 
+def summary_hash(summary) -> str:
+    """SHA-256 of a summary's canonical (sorted int64) tables."""
+    h = hashlib.sha256(str(summary.n_sub).encode())
+    for df, cols in (
+        (summary.nodes, ["nid", "size"]),
+        (summary.hedges, ["parent", "child"]),
+        (summary.pedges, ["x", "y", "sign"]),
+    ):
+        h.update(df[cols].astype("int64").sort_values(cols).to_numpy().tobytes())
+    return h.hexdigest()
+
+
+def chung_lu_graph():
+    """Sparse power-law graph: most candidate sets hold a single root."""
+    edges = gen.chung_lu(200, 6.0, seed=0)
+    return edges, n_nodes(edges)
+
+
+def complexes_graph():
+    """Dense protein-complex graph: nearly every candidate set merges."""
+    edges = gen.complexes(n_blocks=4, sub_size=5, p_cross=0.5, seed=0)
+    return edges, n_nodes(edges)
+
+
+class TestGolden:
+    """Seed-0 summaries pinned byte for byte: a change to group dispatch
+    or marshalling must not change what SLUGGER computes."""
+
+    @pytest.mark.parametrize("make,want", [
+        (chung_lu_graph, "03457d0906909266d51a83b97d7968cfbcca86c6cf951df460a7e054c84464ca"),
+        (complexes_graph, "9b4f454c041e08442618c06ab01af70c47fa9ee8c9920c56d6831c894f2eb224"),
+    ], ids=["chung_lu", "complexes"])
+    def test_seed0_summary_hash(self, make, want):
+        edges, n = make()
+        res = slugger(edges, n, T=4, seed=0, engine="local")
+        assert summary_hash(res.summary) == want
+        assert_lossless_pd(res.summary, edges)
+
+
 class TestEngines:
     def test_spark_equals_local(self, spark):
         edges = gen.nested_partition(60, levels=2, branching=3, p_top=0.05, ratio=8, seed=2)
@@ -66,6 +109,31 @@ class TestEngines:
             rl.summary.hedges.sort_values(["parent", "child"]).reset_index(drop=True),
             rs.summary.hedges.sort_values(["parent", "child"]).reset_index(drop=True),
         )
+
+    def test_spark_equals_local_single_root_heavy(self, spark):
+        edges, n = chung_lu_graph()
+        rl = slugger(edges, n, T=3, seed=0, engine="local")
+        rs = slugger(edges, n, T=3, seed=0, engine="spark", spark=spark)
+        assert summary_hash(rs.summary) == summary_hash(rl.summary)
+
+    def test_spark_round_with_only_single_root_sets(self, spark, monkeypatch):
+        # isolated nodes: every candidate set holds one root, so the
+        # Spark engine gets an empty batch of worker rows every round
+        sizes = []
+        assign = candidates.assign_groups
+
+        def recording(*args, **kwargs):
+            groups = assign(*args, **kwargs)
+            sizes.append(int(groups.groupby("gid").size().max()))
+            return groups
+
+        monkeypatch.setattr(candidates, "assign_groups", recording)
+        edges = gen.path(3).iloc[0:0]
+        rs = slugger(edges, 6, T=2, seed=0, engine="spark", spark=spark)
+        assert sizes == [1, 1]
+        rl = slugger(edges, 6, T=2, seed=0, engine="local")
+        assert summary_hash(rs.summary) == summary_hash(rl.summary)
+        assert_lossless_pd(rs.summary, edges)
 
     def test_spark_lossless(self, spark):
         edges = gen.caveman_cliques(40, clique_size=8, p_rewire=0.1, seed=1)
@@ -163,3 +231,30 @@ class TestEdgeCases:
         res = slugger(edges, 6, T=2, seed=0, engine="local")
         assert res.summary.n_sub == 6
         res.summary.validate()
+
+
+class TestInputContract:
+    """Inputs the summary cannot represent, or the supernode ids cannot
+    hold, are rejected at the entry point, naming the offending pair."""
+
+    @pytest.mark.parametrize("src,dst,n,msg", [
+        ([0, 1, 2], [1, 2, 2], 3, r"self-loop \(2, 2\)"),
+        ([0, 1, 0], [1, 2, 1], 3, r"duplicate pair \(0, 1\)"),
+        ([0, 2], [1, 1], 3, r"non-canonical pair \(need src < dst\) \(2, 1\)"),
+        ([0, 1], [1, 5], 3, r"id outside \[0, 3\) \(1, 5\)"),
+        ([-1, 0], [1, 1], 3, r"id outside \[0, 3\) \(-1, 1\)"),
+    ], ids=["loop", "duplicate", "reversed", "too_large", "negative"])
+    def test_bad_edges_rejected(self, src, dst, n, msg):
+        edges = pd.DataFrame({"src": src, "dst": dst})
+        with pytest.raises(ValueError, match=msg):
+            slugger(edges, n, T=2, seed=0, engine="local")
+
+    def test_t_limit(self):
+        edges = gen.path(4)
+        with pytest.raises(ValueError, match=r"T=128 is outside \[0, 128\)"):
+            slugger(edges, 4, T=128, seed=0, engine="local")
+        slugger(edges, 4, T=127, seed=0, engine="local", do_prune=False)
+
+    def test_n_sub_limit(self):
+        with pytest.raises(ValueError, match=r"n_sub=16777216 is outside"):
+            slugger(gen.path(4), 1 << 24, T=1, seed=0, engine="local")
