@@ -24,6 +24,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from ..graphs.ops import check_edges
 from ..model.flat import FlatSummary
 from .flat_encode import encode_flat
 
@@ -114,6 +115,7 @@ def mosso(
     time_limit_s: float = 600.0,
 ) -> MossoResult:
     t0 = time.perf_counter()
+    check_edges(edges, n_sub)
     rng = random.Random(seed)
     st = _State(n_sub)
     order = list(zip(edges["src"].astype(int), edges["dst"].astype(int)))

@@ -18,6 +18,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from ..graphs.ops import check_edges
 from ..model.flat import FlatSummary
 from .flat_encode import encode_flat
 
@@ -68,6 +69,7 @@ def randomized(
     max_candidates: int = 200,
 ) -> RandomizedResult:
     t0 = time.perf_counter()
+    check_edges(edges, n_sub)
     rng = random.Random(seed)
     # supernode-level state
     parent: dict[int, int] = {}

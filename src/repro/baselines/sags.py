@@ -16,6 +16,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core.hashing import P31
+from ..graphs.ops import check_edges
 from ..model.flat import FlatSummary
 from .flat_encode import encode_flat
 
@@ -37,6 +38,7 @@ def sags(
     seed: int = 0,
 ) -> SagsResult:
     t0 = time.perf_counter()
+    check_edges(edges, n_sub)
     g = np.random.default_rng(seed)
     src = edges["src"].to_numpy(dtype=np.int64)
     dst = edges["dst"].to_numpy(dtype=np.int64)

@@ -5,15 +5,19 @@ threshold θ(t) = 1/(1+t)} over the *flat* model, followed by the optimal
 flat encoding. Within a group, Saving(A, B) is computed from exact
 per-supernode-pair subedge counts (the original uses a SuperJaccard
 approximation for speed; the exact-count variant is the same algorithm
-with a sharper score — documented in DESIGN.md). Groups are processed in
-parallel via ``groupBy("gid").applyInPandas``, one call per group;
-counts are recomputed from the edge set between rounds (distributed
-SWeG's per-round staleness model).
+with a sharper score — documented in DESIGN.md). Candidate sets with two
+or more supernodes go to :func:`run_group` through the group dispatch
+SLUGGER uses (:mod:`repro.core.dispatch`: one in-process batch, or
+``applyInPandas`` over ``gid % defaultParallelism`` buckets); a set of
+one supernode cannot merge and never leaves the driver. Counts are
+recomputed from the edge set between rounds (distributed SWeG's
+per-round staleness model).
 """
 from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -21,11 +25,14 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..core import candidates
+from ..core import candidates, dispatch
+from ..graphs.ops import check_edges
 from ..model.flat import FlatSummary
 from .flat_encode import encode_flat
 
-TALL_SCHEMA = "gid long, kind string, x long, y long, v long"
+# worker row kinds: member supernode (x), supernode size (x, size y) of a
+# member or a neighbour, subedge count (member x, supernode y, count v)
+SUP, SIZE, CNT = range(3)
 
 
 def _flat_cost(cnt: dict[int, int], sizes: dict[int, int], a: int, sa: int) -> int:
@@ -42,7 +49,7 @@ def _flat_cost(cnt: dict[int, int], sizes: dict[int, int], a: int, sa: int) -> i
 class _SwegGroup:
     """One candidate set's greedy merge loop over flat-model counts."""
 
-    def __init__(self, gid: int, theta: float, seed: int,
+    def __init__(self, theta: float, seed: int,
                  sups: list[int], sizes: dict[int, int],
                  cnt: dict[int, dict[int, int]]):
         self.theta = theta
@@ -137,27 +144,48 @@ class _SwegGroup:
                 q.insert(self.rng.randrange(len(q) + 1), a)
 
 
-def _run_group(tall: pd.DataFrame, t: int, big_t: int, seed: int) -> pd.DataFrame:
-    if len(tall) == 0:
-        return pd.DataFrame(columns=["gid", "kind", "x", "y", "v"])
-    gid = int(tall["gid"].iloc[0])
-    theta = 1.0 / (1 + t) if t < big_t else 0.0
-    sups = tall[tall["kind"] == "sup"]["x"].astype(int).tolist()
-    sizes = dict(
-        zip(tall[tall["kind"] == "size"]["x"].astype(int),
-            tall[tall["kind"] == "size"]["y"].astype(int))
-    )
+def run_group(gid: int, kind: list[int], x: list[int], y: list[int], v: list[int],
+              t: int, big_t: int, seed: int) -> list[tuple[int, int, int, int]]:
+    """The greedy merge over one group's rows (parallel lists sorted by
+    kind); returns ``(dispatch.MERGE, survivor, absorbed, 0)`` rows."""
+    c_sz, c_cnt = bisect_left(kind, SIZE), bisect_left(kind, CNT)
+    sups = x[:c_sz]
     cnt: dict[int, dict[int, int]] = {s: {} for s in sups}
-    for r in tall[tall["kind"] == "cnt"].itertuples():
-        cnt[int(r.x)][int(r.y)] = int(r.v)
+    for a, b, e in zip(x[c_cnt:], y[c_cnt:], v[c_cnt:]):
+        cnt[a][b] = e
     g = _SwegGroup(
-        gid, theta, (seed * 999_983 + t * 613 + gid) & 0x7FFFFFFF, sups, sizes, cnt
+        1.0 / (1 + t) if t < big_t else 0.0,
+        (seed * 999_983 + t * 613 + gid) & 0x7FFFFFFF,
+        sups, dict(zip(x[c_sz:c_cnt], y[c_sz:c_cnt])), cnt,
     )
     g.run()
-    rows = [(gid, "merge", a, b, 0) for a, b in g.merges]
-    return pd.DataFrame(rows, columns=["gid", "kind", "x", "y", "v"]).astype(
-        {"gid": np.int64, "x": np.int64, "y": np.int64, "v": np.int64}
-    )
+    return [(dispatch.MERGE, a, b, 0) for a, b in g.merges]
+
+
+def _worker_rows(group: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                 gid_of: dict[int, int], multi: list[bool]):
+    """Worker rows (gid, kind, x, y, v) of the candidate sets holding two
+    or more supernodes: members, sizes and per-pair subedge counts at the
+    current supernode level."""
+    ga, gb = group[src], group[dst]
+    pair_cnt = pd.DataFrame({"a": np.minimum(ga, gb), "b": np.maximum(ga, gb)}).groupby(["a", "b"]).size()
+    sizes = np.bincount(group).tolist()
+    rows: list[tuple[int, int, int, int, int]] = []
+    for s, gid in gid_of.items():
+        if multi[gid]:
+            rows.append((gid, SUP, s, 0, 0))
+            rows.append((gid, SIZE, s, sizes[s], 0))
+    seen_sizes: set[tuple[int, int]] = set()
+    for (a, b), e in zip(pair_cnt.index.tolist(), pair_cnt.tolist()):
+        for mem, other in ((a, b), (b, a)) if a != b else ((a, a),):
+            gid = gid_of[mem]
+            if not multi[gid]:
+                continue
+            rows.append((gid, CNT, mem, other, e))
+            if gid_of[other] != gid and (gid, other) not in seen_sizes:
+                rows.append((gid, SIZE, other, sizes[other], 0))
+                seen_sizes.add((gid, other))
+    return rows
 
 
 @dataclass
@@ -177,61 +205,29 @@ def sweg(
 ) -> SwegResult:
     """Run SWEG and return the optimally flat-encoded summary."""
     t0 = time.perf_counter()
+    check_edges(edges, n_sub)
+    dispatch.check_engine(engine, spark)
     group = np.arange(n_sub, dtype=np.int64)
     src = edges["src"].to_numpy()
     dst = edges["dst"].to_numpy()
     for t in range(1, T + 1):
         cand = candidates.assign_groups(edges, group, seed, t)
-        gid_of = dict(zip(cand["root"].astype(int), cand["gid"].astype(int)))
-        # per-pair subedge counts at the current supernode level
-        ga, gb = group[src], group[dst]
-        lo, hi = np.minimum(ga, gb), np.maximum(ga, gb)
-        pair_cnt = pd.DataFrame({"a": lo, "b": hi}).groupby(["a", "b"]).size()
-        sizes = pd.Series(group).value_counts()
-        rows: list[tuple[int, str, int, int, int]] = []
-        for s, gid in gid_of.items():
-            rows.append((gid, "sup", s, 0, 0))
-            rows.append((gid, "size", s, int(sizes[s]), 0))
-        seen_sizes: dict[int, set[int]] = defaultdict(set)
-        for (a, b), e in pair_cnt.items():
-            a, b, e = int(a), int(b), int(e)
-            for mem, other in ((a, b), (b, a)) if a != b else ((a, a),):
-                gid = gid_of[mem]
-                rows.append((gid, "cnt", mem, other, e))
-                if other != mem and gid_of.get(other) != gid and other not in seen_sizes[gid]:
-                    rows.append((gid, "size", other, int(sizes[other]), 0))
-                    seen_sizes[gid].add(other)
-        tall = pd.DataFrame(rows, columns=["gid", "kind", "x", "y", "v"])
-        tall[["gid", "x", "y", "v"]] = tall[["gid", "x", "y", "v"]].astype(np.int64)
-        if engine == "spark":
-            tall_df = spark.createDataFrame(tall, schema=TALL_SCHEMA)
-            out = (
-                tall_df.groupBy("gid")
-                .applyInPandas(
-                    lambda pdf: _run_group(pdf, t, T, seed), schema=TALL_SCHEMA
-                )
-                .toPandas()
-            )
-        else:
-            parts = [
-                _run_group(gdf, t, T, seed) for _, gdf in tall.groupby("gid", sort=True)
-            ]
-            out = (
-                pd.concat(parts, ignore_index=True)
-                if parts
-                else pd.DataFrame(columns=["gid", "kind", "x", "y", "v"])
-            )
-        remap: dict[int, int] = {}
-        for r in out[out["kind"] == "merge"].itertuples():
-            remap[int(r.y)] = int(r.x)
+        gids = cand["gid"].to_numpy()
+        gid_of = dict(zip(cand["root"].tolist(), gids.tolist()))
+        multi = (np.bincount(gids) > 1).tolist()
+        out = dispatch.run(
+            _worker_rows(group, src, dst, gid_of, multi),
+            lambda gid, kind, x, y, v: run_group(gid, kind, x, y, v, t, T, seed),
+            engine, spark,
+        )
+        remap = dict(zip(out[:, 2].tolist(), out[:, 1].tolist()))  # absorbed -> survivor
 
         def find(v: int) -> int:
             while v in remap:
                 v = remap[v]
             return v
 
-        uniq = {int(v) for v in np.unique(group)}
-        final = {v: find(v) for v in uniq}
-        group = np.array([final[int(g)] for g in group], dtype=np.int64)
+        final = {v: find(v) for v in np.unique(group).tolist()}
+        group = np.array([final[g] for g in group.tolist()], dtype=np.int64)
     flat = encode_flat(spark, edges, group)
     return SwegResult(flat=flat, elapsed_s=time.perf_counter() - t0)

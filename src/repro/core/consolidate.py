@@ -44,26 +44,15 @@ def consolidate(
                     cand[(p, o, s)].add(e)
         for (p, o, s), present in sorted(cand.items()):
             kids = children[p]
-            if all(k in present for k in kids):
-                ok = True
-                for k in kids:
-                    a, b = (k, o) if k <= o else (o, k)
-                    if (a, b, s) not in eset:
-                        ok = False  # consumed by an earlier lift this pass
-                        break
-                if not ok:
-                    continue
-                for k in kids:
-                    a, b = (k, o) if k <= o else (o, k)
-                    eset.discard((a, b, s))
-                a, b = (p, o) if p <= o else (o, p)
-                if (a, b, s) in eset:
-                    # collision with a pre-existing edge would double cover;
-                    # undo (never occurs under exact coverage, keep safe)
-                    for k in kids:
-                        ka, kb = (k, o) if k <= o else (o, k)
-                        eset.add((ka, kb, s))
-                    continue
-                eset.add((a, b, s))
-                changed = True
+            if not all(k in present for k in kids):
+                continue
+            # children's edges consumed by an earlier lift this pass, or a
+            # pre-existing parent edge (lifting would double cover): skip
+            keys = [(k, o, s) if k <= o else (o, k, s) for k in kids]
+            lifted = (p, o, s) if p <= o else (o, p, s)
+            if lifted in eset or not all(k in eset for k in keys):
+                continue
+            eset.difference_update(keys)
+            eset.add(lifted)
+            changed = True
     return sorted(eset)

@@ -9,17 +9,13 @@ p/n-edges locally via the memoized Case-1/Case-2 solvers
 global phase (:mod:`repro.core.consolidate`) will apply, so local Saving
 scores match the global outcome.
 
-Worker input is a batch of int64 rows ``(gid, kind, x, y, v)`` covering
-the multi-root groups of one round; the driver passes single-root groups
-through without a worker (DESIGN.md §3.2). :func:`run_bucket` orders a
-batch by gid once and hands each group's rows to :func:`run_group` as
-Python lists, one slice per kind (``ROOT..RADJ``). Every worker returns
-its ``(merges, pedges)`` tuples, which come back as ``(kind, x, y, v)``
-rows of kind ``MERGE`` or ``PEDGE``. The local engine calls
-:func:`run_bucket` on the whole batch; the Spark engine runs it under
-``applyInPandas`` over ``gid % defaultParallelism`` buckets. Groups are
-independent (per-gid RNG seed and supernode ids), so both engines give
-the same summary.
+Worker input is one group's int64 rows ``(gid, kind, x, y, v)``, handed
+over by :mod:`repro.core.dispatch` as Python lists sorted by kind
+(``ROOT..RADJ``); the driver sends only groups holding two or more roots
+(DESIGN.md §3.2). :func:`run_group` returns the worker's merges as
+``(dispatch.MERGE, A, B, U)`` rows and its p/n-edges as ``(PEDGE, x, y,
+sign)`` rows. Groups are independent (per-gid RNG seed and supernode
+ids), so the local and Spark engines give the same summary.
 """
 from __future__ import annotations
 
@@ -27,15 +23,11 @@ import random
 from bisect import bisect_left
 from collections import defaultdict
 
-import numpy as np
-import pandas as pd
-
 from . import localenc as L
+from .dispatch import MERGE
 
-# worker row kinds, in the order a worker consumes them; MERGE is output-only
-ROOT, NODE, HEDGE, PEDGE, EXT, RADJ, MERGE = range(7)
-TALL_SCHEMA = "bucket long, row long, gid long, kind long, x long, y long, v long"
-OUT_SCHEMA = "kind long, x long, y long, v long"
+# worker row kinds, in the order a worker consumes them
+ROOT, NODE, HEDGE, PEDGE, EXT, RADJ = range(6)
 
 ID_BASE = 1 << 40  # internal supernode ids live above all subnode ids
 NO_MERGE = -10**18  # Saving sentinel for infeasible pairs
@@ -465,7 +457,7 @@ class GroupWorker:
 def run_group(gid: int, kind: list[int], x: list[int], y: list[int], v: list[int],
               t: int, big_t: int, seed: int, hb: int):
     """Algorithm 2 over one group's rows (parallel lists sorted by kind);
-    returns the worker's ``output()``."""
+    returns the worker's ``output()`` as ``MERGE`` and ``PEDGE`` rows."""
     cut = [bisect_left(kind, k) for k in range(RADJ + 2)]
 
     def rows(k: int, *cols: list[int]):
@@ -485,21 +477,5 @@ def run_group(gid: int, kind: list[int], x: list[int], y: list[int], v: list[int
         radj=rows(RADJ, x, y),
     )
     w.run()
-    return w.output()
-
-
-def run_bucket(rows: pd.DataFrame, t: int, big_t: int, seed: int, hb: int) -> pd.DataFrame:
-    """Run every group of a batch of worker rows (``TALL_SCHEMA``, any row
-    order; ``row`` is the driver's emission order). Returns the merges and
-    p/n-edges of all groups as ``OUT_SCHEMA`` rows, each group's in order."""
-    order = np.lexsort((rows["row"].to_numpy(), rows["kind"].to_numpy(), rows["gid"].to_numpy()))
-    gid, kind, x, y, v = (rows[c].to_numpy()[order] for c in ("gid", "kind", "x", "y", "v"))
-    cuts = np.flatnonzero(np.diff(gid, prepend=-1, append=-1)).tolist()  # group starts + end
-    gid, kind, x, y, v = (a.tolist() for a in (gid, kind, x, y, v))
-    out: list[tuple[int, int, int, int]] = []
-    for s, e in zip(cuts[:-1], cuts[1:]):
-        merges, pedges = run_group(gid[s], kind[s:e], x[s:e], y[s:e], v[s:e],
-                                   t, big_t, seed, hb)
-        out.extend((MERGE, *m) for m in merges)
-        out.extend((PEDGE, *p) for p in pedges)
-    return pd.DataFrame(out, columns=["kind", "x", "y", "v"], dtype=np.int64)
+    merges, pedges = w.output()
+    return [(MERGE, *m) for m in merges] + [(PEDGE, *p) for p in pedges]

@@ -25,7 +25,7 @@ from collections import defaultdict
 import numpy as np
 import pandas as pd
 
-from ..model.summary import HierSummary, empty_hedges
+from ..model.summary import HierSummary
 
 
 class _PruneState:
@@ -110,25 +110,9 @@ class _PruneState:
         return [v for v in self.tree_nodes(r) if v < self.n_sub]
 
     def to_summary(self) -> HierSummary:
-        nids = sorted(self.size)
-        nodes = pd.DataFrame(
-            {"nid": np.array(nids, dtype=np.int64),
-             "size": np.array([self.size[v] for v in nids], dtype=np.int64)}
-        )
-        if self.parent:
-            hedges = pd.DataFrame(
-                {"parent": np.array([p for _, p in sorted(self.parent.items())], dtype=np.int64),
-                 "child": np.array(sorted(self.parent), dtype=np.int64)}
-            )
-        else:
-            hedges = empty_hedges()
-        items = sorted(self.edges.items())
-        pedges = pd.DataFrame(
-            {"x": np.array([k[0] for k, _ in items], dtype=np.int64),
-             "y": np.array([k[1] for k, _ in items], dtype=np.int64),
-             "sign": np.array([s for _, s in items], dtype=np.int64)}
-        )
-        return HierSummary(n_sub=self.n_sub, nodes=nodes, hedges=hedges, pedges=pedges)
+        return HierSummary.from_parts(
+            self.n_sub, self.size, self.parent,
+            ((x, y, s) for (x, y), s in self.edges.items()))
 
 
 def step1(st: _PruneState) -> int:

@@ -9,29 +9,27 @@ The per-iteration dataflow (DESIGN.md §3.2):
    p/n-edges go straight to the next round on the driver. Every
    multi-root set gets int64 worker rows (its member trees, intra-group
    p/n-edges, read-only external edges and root-level G-adjacency);
-3. :func:`repro.core.groupmerge.run_bucket` runs Algorithm 2 per
-   multi-root set: in-process over all rows (``engine="local"``), or
-   under ``groupBy("bucket").applyInPandas`` over ``gid %
-   defaultParallelism`` buckets (``engine="spark"``);
+3. :func:`repro.core.dispatch.run` runs Algorithm 2
+   (:func:`repro.core.groupmerge.run_group`) on every multi-root set, on
+   the local or the Spark engine;
 4. cross-group edges are lifted by :func:`repro.core.consolidate.consolidate`;
 5. driver state (supernode forest + edge tables) is re-materialized —
    the checkpoint between iterations.
 
-``hb`` > 0 enables the Table-V height-bound variant. ``snapshot_ts``
-yields pruned copies of the state at intermediate iteration counts (the
-run itself continues unaffected).
+``hb`` > 0 enables the Table-V height-bound variant.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..model.summary import HierSummary, empty_hedges
-from . import candidates
+from ..graphs.ops import check_edges
+from ..model.summary import HierSummary
+from . import candidates, dispatch
 from . import groupmerge as gm
 from .consolidate import consolidate
 from .pruning import prune
@@ -39,11 +37,10 @@ from .pruning import prune
 
 @dataclass
 class SluggerResult:
-    """Final summary plus optional per-snapshot pruned summaries."""
+    """Final summary and the wall time of the run."""
 
     summary: HierSummary
     elapsed_s: float
-    snapshots: dict[int, HierSummary] = field(default_factory=dict)
 
 
 class _DriverState:
@@ -54,8 +51,7 @@ class _DriverState:
         self.size: dict[int, int] = {u: 1 for u in range(n_sub)}
         self.children: dict[int, list[int]] = {}
         self.parent: dict[int, int] = {}
-        # tree_tag[nid] = root label at nid's creation; root_up chains to now
-        self.tree_tag: dict[int, int] = {}
+        # root_up chains a merged root to the root that absorbed it
         self.root_up: dict[int, int] = {}
         self.pedges: list[tuple[int, int, int]] = [
             (s, d, 1) for s, d in zip(edges["src"].tolist(), edges["dst"].tolist())
@@ -63,7 +59,7 @@ class _DriverState:
         self.leaf_root = np.arange(n_sub, dtype=np.int64)
 
     def current_root(self, nid: int) -> int:
-        r = self.tree_tag.get(nid, nid)
+        r = nid
         while r in self.root_up:
             up = self.root_up[r]
             if up in self.root_up:
@@ -77,7 +73,6 @@ class _DriverState:
             self.parent[a] = u
             self.parent[b] = u
             self.size[u] = self.size[a] + self.size[b]
-            self.tree_tag[u] = u
             self.root_up[a] = u
             self.root_up[b] = u
         # refresh the leaf -> root array once per round
@@ -87,28 +82,6 @@ class _DriverState:
             if r not in remap:
                 remap[r] = self.current_root(r)
             self.leaf_root[i] = remap[r]
-
-    def to_summary(self) -> HierSummary:
-        nids = sorted(self.size)
-        nodes = pd.DataFrame(
-            {"nid": np.array(nids, dtype=np.int64),
-             "size": np.array([self.size[v] for v in nids], dtype=np.int64)}
-        )
-        if self.parent:
-            childs = sorted(self.parent)
-            hedges = pd.DataFrame(
-                {"parent": np.array([self.parent[c] for c in childs], dtype=np.int64),
-                 "child": np.array(childs, dtype=np.int64)}
-            )
-        else:
-            hedges = empty_hedges()
-        pe = sorted((min(x, y), max(x, y), s) for x, y, s in self.pedges)
-        pedges = pd.DataFrame(
-            {"x": np.array([e[0] for e in pe], dtype=np.int64),
-             "y": np.array([e[1] for e in pe], dtype=np.int64),
-             "sign": np.array([e[2] for e in pe], dtype=np.int64)}
-        )
-        return HierSummary(n_sub=self.n_sub, nodes=nodes, hedges=hedges, pedges=pedges)
 
 
 def _worker_rows(state: _DriverState, edges: pd.DataFrame, gid_of: dict[int, int],
@@ -174,56 +147,17 @@ def _run_round(
     gid_of = dict(zip(groups["root"].tolist(), gids.tolist()))
     multi = (np.bincount(gids) > 1).tolist()
     rows, passed, cross = _worker_rows(state, edges, gid_of, multi)
-    tall = pd.DataFrame(np.array(rows, dtype=np.int64).reshape(-1, 5),
-                        columns=["gid", "kind", "x", "y", "v"])
-    tall.insert(0, "row", np.arange(len(tall), dtype=np.int64))
-    if engine == "spark":
-        assert spark is not None, "engine='spark' needs a SparkSession"
-        tall.insert(0, "bucket", tall["gid"] % spark.sparkContext.defaultParallelism)
-        out = (
-            spark.createDataFrame(tall, schema=gm.TALL_SCHEMA)
-            .groupBy("bucket")
-            .applyInPandas(
-                lambda pdf: gm.run_bucket(pdf, t, big_t, seed, hb),
-                schema=gm.OUT_SCHEMA,
-            )
-            .toPandas()
-        )
-    else:
-        out = gm.run_bucket(tall, t, big_t, seed, hb)
-    kind = out["kind"].to_numpy()
-    xyv = out[["x", "y", "v"]].to_numpy(dtype=np.int64)
-    merges = list(map(tuple, xyv[kind == gm.MERGE].tolist()))
+    out = dispatch.run(
+        rows,
+        lambda gid, kind, x, y, v: gm.run_group(gid, kind, x, y, v, t, big_t, seed, hb),
+        engine, spark,
+    )
+    kind, xyv = out[:, 0], out[:, 1:]
+    merges = list(map(tuple, xyv[kind == dispatch.MERGE].tolist()))
     intra = list(map(tuple, xyv[kind == gm.PEDGE].tolist()))
     state.apply_merges(merges)
     lifted = consolidate(cross, state.children) if cross else []
     state.pedges = passed + intra + lifted
-
-
-def _check_input(edges: pd.DataFrame, n_sub: int, T: int) -> None:
-    """Reject inputs the summary cannot represent or the supernode ids
-    cannot hold, naming the first offending pair (O(|E|) numpy)."""
-    if not 0 <= T < 1 << gm.T_BITS:
-        raise ValueError(f"T={T} is outside [0, {1 << gm.T_BITS}): "
-                         f"supernode ids hold the round in {gm.T_BITS} bits")
-    if not 0 <= n_sub < 1 << gm.GID_BITS:
-        raise ValueError(f"n_sub={n_sub} is outside [0, 2**{gm.GID_BITS}): "
-                         f"supernode ids hold the candidate-set id in {gm.GID_BITS} bits")
-    src = edges["src"].to_numpy()
-    dst = edges["dst"].to_numpy()
-    for bad, what in (
-        (src == dst, "self-loop"),
-        (src > dst, "non-canonical pair (need src < dst)"),
-        ((src < 0) | (dst >= n_sub), f"id outside [0, {n_sub})"),
-    ):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"{what} ({src[i]}, {dst[i]}) in edges")
-    key = np.sort(src.astype(np.int64) * n_sub + dst)
-    dup = np.flatnonzero(key[1:] == key[:-1])
-    if len(dup):
-        k = int(key[dup[0]])
-        raise ValueError(f"duplicate pair ({k // n_sub}, {k % n_sub}) in edges")
 
 
 def slugger(
@@ -237,32 +171,28 @@ def slugger(
     spark: SparkSession | None = None,
     prune_cycles: int = 2,
     do_prune: bool = True,
-    snapshot_ts: tuple[int, ...] = (),
 ) -> SluggerResult:
     """Run SLUGGER on a canonical pandas edge list: simple undirected
     edges stored once with ``0 <= src < dst < n_sub`` (anything else
     raises ``ValueError``), ``0 <= T < 128`` and ``n_sub < 2**24``.
 
     ``hb``: height bound (0 = unlimited, Table V). ``engine``: "spark"
-    (group workers under applyInPandas) or "local" (same batch function,
-    in-process).
-    ``snapshot_ts``: iteration counts at which to snapshot a *pruned copy*
-    of the state (Table III); the run continues unaffected.
+    (group workers under applyInPandas; needs ``spark``) or "local" (same
+    batch function, in-process).
     """
     t0 = time.perf_counter()
-    _check_input(edges, n_sub, T)
+    if not 0 <= T < 1 << gm.T_BITS:
+        raise ValueError(f"T={T} is outside [0, {1 << gm.T_BITS}): "
+                         f"supernode ids hold the round in {gm.T_BITS} bits")
+    if not 0 <= n_sub < 1 << gm.GID_BITS:
+        raise ValueError(f"n_sub={n_sub} is outside [0, 2**{gm.GID_BITS}): "
+                         f"supernode ids hold the candidate-set id in {gm.GID_BITS} bits")
+    check_edges(edges, n_sub)
+    dispatch.check_engine(engine, spark)
     state = _DriverState(edges, n_sub)
-    snapshots: dict[int, HierSummary] = {}
     for t in range(1, T + 1):
         _run_round(state, edges, t, T, seed, hb, engine, spark)
-        if t in snapshot_ts and t != T:
-            snap = prune(state.to_summary(), edges, cycles=prune_cycles)
-            snapshots[t] = snap
-    summary = state.to_summary()
+    summary = HierSummary.from_parts(n_sub, state.size, state.parent, state.pedges)
     if do_prune:
         summary = prune(summary, edges, cycles=prune_cycles)
-    if T in snapshot_ts:
-        snapshots[T] = summary
-    return SluggerResult(
-        summary=summary, elapsed_s=time.perf_counter() - t0, snapshots=snapshots
-    )
+    return SluggerResult(summary=summary, elapsed_s=time.perf_counter() - t0)

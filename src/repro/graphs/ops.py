@@ -22,6 +22,29 @@ def degrees(edges: DataFrame) -> DataFrame:
     return symmetrize(edges).groupBy("u").agg(F.count("*").alias("deg"))
 
 
+def check_edges(edges: pd.DataFrame, n_sub: int) -> None:
+    """Reject an edge list that is not canonical (``0 <= src < dst <
+    n_sub``, each pair once) with a ``ValueError`` naming the first
+    offending pair (O(|E|) numpy). Every summarizer's entry point calls
+    this: a summary cannot represent a self-loop or a repeated pair."""
+    src = edges["src"].to_numpy()
+    dst = edges["dst"].to_numpy()
+    for bad, what in (
+        (src == dst, "self-loop"),
+        (src > dst, "non-canonical pair (need src < dst)"),
+        ((src < 0) | (dst >= n_sub), f"id outside [0, {n_sub})"),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{what} ({src[i]}, {dst[i]}) in edges")
+    order = np.lexsort((dst, src))
+    s, d = src[order], dst[order]
+    dup = np.flatnonzero((s[1:] == s[:-1]) & (d[1:] == d[:-1]))
+    if len(dup):
+        i = int(dup[0])
+        raise ValueError(f"duplicate pair ({s[i]}, {d[i]}) in edges")
+
+
 def canonicalize_pd(edges: pd.DataFrame) -> pd.DataFrame:
     """Canonicalize a pandas edge list (order endpoints, dedup, drop loops)."""
     lo = np.minimum(edges["src"].to_numpy(), edges["dst"].to_numpy())

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-NODE_COLS = ["nid", "size"]
-HEDGE_COLS = ["parent", "child"]
 PEDGE_COLS = ["x", "y", "sign"]
-
-
-def empty_nodes() -> pd.DataFrame:
-    return pd.DataFrame({"nid": pd.Series(dtype=np.int64), "size": pd.Series(dtype=np.int64)})
 
 
 def empty_hedges() -> pd.DataFrame:
@@ -68,6 +62,28 @@ class HierSummary:
             }
         )
         return HierSummary(n_sub=n_sub, nodes=nodes, hedges=empty_hedges(), pedges=pe)
+
+    @staticmethod
+    def from_parts(n_sub: int, size: dict[int, int], parent: dict[int, int],
+                   pedges) -> "HierSummary":
+        """The summary of a supernode forest (``size`` of every supernode,
+        ``parent`` of every non-root) and its (x, y, sign) p/n-edges, with
+        every table sorted (nodes by nid, hedges by child, p/n-edges
+        canonical and sorted)."""
+        nids = sorted(size)
+        childs = sorted(parent)
+        pe = sorted((min(x, y), max(x, y), s) for x, y, s in pedges)
+        return HierSummary(
+            n_sub=n_sub,
+            nodes=pd.DataFrame(
+                {"nid": np.array(nids, dtype=np.int64),
+                 "size": np.array([size[v] for v in nids], dtype=np.int64)}),
+            hedges=pd.DataFrame(
+                {"parent": np.array([parent[c] for c in childs], dtype=np.int64),
+                 "child": np.array(childs, dtype=np.int64)}),
+            pedges=pd.DataFrame(np.array(pe, dtype=np.int64).reshape(-1, 3),
+                                columns=PEDGE_COLS),
+        )
 
     # ---- derived structure -------------------------------------------------
 

@@ -1,4 +1,7 @@
-"""Baseline summarizer tests: losslessness + evaluated behaviour shape."""
+"""Baseline summarizer tests: losslessness + evaluated behaviour shape,
+pinned SWEG output and the input contract."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -7,6 +10,7 @@ from repro.baselines.mosso import mosso
 from repro.baselines.randomized import randomized
 from repro.baselines.sags import sags
 from repro.baselines.sweg import sweg
+from repro.core import candidates
 from repro.graphs import generators as gen
 from repro.model.flat import decode_flat_pd
 
@@ -43,6 +47,42 @@ class TestSweg:
         rl = sweg(spark, edges, n, T=2, seed=0, engine="local")
         rs = sweg(spark, edges, n, T=2, seed=0, engine="spark")
         assert (rl.flat.group == rs.flat.group).all()
+
+    def test_spark_round_with_only_single_sup_sets(self, spark, monkeypatch):
+        # isolated nodes: every candidate set holds one supernode, so the
+        # Spark engine gets an empty batch of worker rows every round
+        sizes = []
+        assign = candidates.assign_groups
+
+        def recording(*args, **kwargs):
+            groups = assign(*args, **kwargs)
+            sizes.append(int(groups.groupby("gid").size().max()))
+            return groups
+
+        monkeypatch.setattr(candidates, "assign_groups", recording)
+        edges = gen.path(3).iloc[0:0]
+        rs = sweg(spark, edges, 6, T=2, seed=0, engine="spark")
+        assert sizes == [1, 1]
+        rl = sweg(spark, edges, 6, T=2, seed=0, engine="local")
+        assert (rl.flat.group == rs.flat.group).all()
+        _lossless(rs.flat, edges)
+
+    @pytest.mark.parametrize("edges,want", [
+        (gen.chung_lu(200, 6.0, seed=0),
+         "54fd1a8b653780fc0acf8dd49b9046a7294fc75194511cade876e3124e5bc691"),
+        (gen.complexes(n_blocks=4, sub_size=5, p_cross=0.5, seed=0),
+         "9347b26f0c913fb299ffb43f45c332eb53d045cc6b9b13271069fef540c37f62"),
+    ], ids=["chung_lu", "complexes"])
+    def test_seed0_group_hash(self, spark, edges, want):
+        # seed-0 supernode assignment pinned byte for byte: a change to
+        # group dispatch must not change what SWEG computes
+        res = sweg(spark, edges, gen.n_nodes(edges), T=4, seed=0, engine="local")
+        assert hashlib.sha256(res.flat.group.astype(np.int64).tobytes()).hexdigest() == want
+
+    def test_unknown_engine_rejected(self, monkeypatch):
+        monkeypatch.setattr(candidates, "assign_groups", None)  # no round may start
+        with pytest.raises(ValueError, match="engine='sparkk' is not one of"):
+            sweg(None, gen.path(4), 4, T=2, seed=0, engine="sparkk")
 
     def test_compresses_cliques(self, spark):
         edges, n = gen.caveman_cliques(36, clique_size=6, p_rewire=0.0, seed=0), 36
@@ -135,3 +175,29 @@ class TestOrdering:
         rel_sa = sa.flat.cost_eq11(len(edges))
         assert rel_sl <= rel_sw + 0.02
         assert rel_sw <= rel_sa + 0.02
+
+
+class TestInputContract:
+    """Every baseline rejects an edge list it cannot summarize losslessly
+    at its entry point, naming the offending pair (``slugger()``'s cases
+    are in test_slugger.py). No Spark session is needed: the check comes
+    first."""
+
+    ENTRY = {
+        "sweg": lambda e, n: sweg(None, e, n, T=2, seed=0),
+        "sags": lambda e, n: sags(None, e, n),
+        "randomized": lambda e, n: randomized(None, e, n),
+        "mosso": lambda e, n: mosso(None, e, n),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY))
+    @pytest.mark.parametrize("src,dst,msg", [
+        ([0, 1, 2], [1, 2, 2], r"self-loop \(2, 2\)"),
+        ([0, 1, 0], [1, 2, 1], r"duplicate pair \(0, 1\)"),
+        ([0, 2], [1, 1], r"non-canonical pair \(need src < dst\) \(2, 1\)"),
+        ([0, 1], [1, 5], r"id outside \[0, 3\) \(1, 5\)"),
+    ], ids=["loop", "duplicate", "reversed", "out_of_range"])
+    def test_bad_edges_rejected(self, entry, src, dst, msg):
+        edges = pd.DataFrame({"src": src, "dst": dst})
+        with pytest.raises(ValueError, match=msg):
+            self.ENTRY[entry](edges, 3)

@@ -1,9 +1,8 @@
 """Unit tests of the per-group merge worker (Algorithm 2 internals)."""
-import numpy as np
-import pandas as pd
 import pytest
 
 from repro.core import groupmerge as gm
+from repro.core.dispatch import MERGE
 
 
 def make_worker(roots, hedges=(), pedges=(), ext=(), radj=(), sizes=None,
@@ -179,45 +178,16 @@ def as_lists(rows):
 
 class TestRunGroup:
     def test_empty_group(self):
-        assert gm.run_group(0, [], [], [], [], 1, 5, 0, 0) == ([], [])
+        assert gm.run_group(0, [], [], [], [], 1, 5, 0, 0) == []
 
     def test_deterministic_in_seed(self):
         lists = as_lists(clique_rows(0, 6))
         o1 = gm.run_group(0, *lists, 1, 1, 42, 0)
         o2 = gm.run_group(0, *lists, 1, 1, 42, 0)
         assert o1 == o2
-        assert o1[0], "a 6-clique merges at theta=0"
+        assert any(r[0] == MERGE for r in o1), "a 6-clique merges at theta=0"
 
     def test_new_ids_unique_across_groups(self):
         ids = {gm.new_id(t, g, s) for t in (1, 2) for g in (0, 1, 7) for s in (0, 1)}
         assert len(ids) == 12
         assert min(ids) >= gm.ID_BASE
-
-
-class TestRunBucket:
-    @staticmethod
-    def frame(rows):
-        df = pd.DataFrame(rows, columns=["gid", "kind", "x", "y", "v"], dtype=np.int64)
-        df.insert(0, "row", np.arange(len(df), dtype=np.int64))
-        df.insert(0, "bucket", 0)
-        return df
-
-    def test_empty_batch(self):
-        out = gm.run_bucket(self.frame([]), 1, 5, 0, 0)
-        assert len(out) == 0 and list(out.columns) == ["kind", "x", "y", "v"]
-
-    def test_batch_equals_groups_in_any_row_order(self):
-        # three groups' rows shuffled together: run_bucket restores the
-        # driver's row order and runs each group exactly as run_group does
-        # (the path never merges, so its p/n-edges come back in row order)
-        path = group_rows(9, [(v, v + 1) for v in range(20, 28)])
-        rows = clique_rows(3, 5) + clique_rows(7, 4, base=10) + path
-        df = self.frame(rows).sample(frac=1.0, random_state=0)
-        out = gm.run_bucket(df, 1, 1, 42, 0)
-        want = []
-        for gid in (3, 7, 9):
-            merges, pedges = gm.run_group(gid, *as_lists(r for r in rows if r[0] == gid),
-                                          1, 1, 42, 0)
-            want += [(gm.MERGE, *m) for m in merges] + [(gm.PEDGE, *p) for p in pedges]
-        assert list(out.itertuples(index=False, name=None)) == want
-        assert set(out["kind"]) == {gm.MERGE, gm.PEDGE}

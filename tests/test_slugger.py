@@ -188,13 +188,6 @@ class TestBehaviour:
         prn = slugger(edges, 70, T=5, seed=0, engine="local", do_prune=True)
         assert cost(prn.summary) <= cost(raw.summary)
 
-    def test_snapshots_collected_and_lossless(self):
-        edges = gen.nested_partition(60, levels=2, branching=3, p_top=0.05, ratio=8, seed=0)
-        res = slugger(edges, 60, T=4, seed=0, engine="local", snapshot_ts=(2, 4))
-        assert set(res.snapshots) == {2, 4}
-        for snap in res.snapshots.values():
-            assert_lossless_pd(snap, edges)
-
 
 class TestHeightBound:
     @pytest.mark.parametrize("hb", [1, 2, 5])
@@ -254,6 +247,17 @@ class TestInputContract:
         with pytest.raises(ValueError, match=r"T=128 is outside \[0, 128\)"):
             slugger(edges, 4, T=128, seed=0, engine="local")
         slugger(edges, 4, T=127, seed=0, engine="local", do_prune=False)
+
+    @pytest.mark.parametrize("engine", ["Spark", "sparkk"])
+    def test_unknown_engine_rejected(self, engine, monkeypatch):
+        monkeypatch.setattr(candidates, "assign_groups", None)  # no round may start
+        with pytest.raises(ValueError, match=f"engine='{engine}' is not one of"):
+            slugger(gen.path(4), 4, T=2, seed=0, engine=engine)
+
+    def test_spark_engine_needs_session(self, monkeypatch):
+        monkeypatch.setattr(candidates, "assign_groups", None)
+        with pytest.raises(ValueError, match="engine='spark' needs a SparkSession"):
+            slugger(gen.path(4), 4, T=2, seed=0, engine="spark")
 
     def test_n_sub_limit(self):
         with pytest.raises(ValueError, match=r"n_sub=16777216 is outside"):
