@@ -24,7 +24,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..graphs.ops import check_edges
+from ..graphs.ops import check_edges, check_param
 from ..model.flat import FlatSummary
 from .flat_encode import encode_flat
 
@@ -115,6 +115,9 @@ def mosso(
     time_limit_s: float = 600.0,
 ) -> MossoResult:
     t0 = time.perf_counter()
+    check_param("e", e, 0 <= e <= 1, "0 <= e <= 1")
+    check_param("c", c, c >= 1, "c >= 1")
+    check_param("time_limit_s", time_limit_s, time_limit_s >= 0, "time_limit_s >= 0")
     check_edges(edges, n_sub)
     rng = random.Random(seed)
     st = _State(n_sub)

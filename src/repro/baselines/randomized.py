@@ -18,7 +18,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..graphs.ops import check_edges
+from ..graphs.ops import check_edges, check_param
 from ..model.flat import FlatSummary
 from .flat_encode import encode_flat
 
@@ -69,6 +69,8 @@ def randomized(
     max_candidates: int = 200,
 ) -> RandomizedResult:
     t0 = time.perf_counter()
+    check_param("max_candidates", max_candidates, max_candidates >= 1, "max_candidates >= 1")
+    check_param("time_limit_s", time_limit_s, time_limit_s >= 0, "time_limit_s >= 0")
     check_edges(edges, n_sub)
     rng = random.Random(seed)
     # supernode-level state

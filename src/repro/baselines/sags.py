@@ -16,7 +16,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core.hashing import P31
-from ..graphs.ops import check_edges
+from ..graphs.ops import check_edges, check_param
 from ..model.flat import FlatSummary
 from .flat_encode import encode_flat
 
@@ -38,6 +38,11 @@ def sags(
     seed: int = 0,
 ) -> SagsResult:
     t0 = time.perf_counter()
+    # r = h // b rows per band: b > h gives empty band keys, so every node
+    # would share one bucket and the whole graph would be blind-merged
+    check_param("h", h, h >= 1, "h >= 1")
+    check_param("b", b, 1 <= b <= h, f"1 <= b <= h (h={h})")
+    check_param("p", p, 0 <= p <= 1, "0 <= p <= 1")
     check_edges(edges, n_sub)
     g = np.random.default_rng(seed)
     src = edges["src"].to_numpy(dtype=np.int64)

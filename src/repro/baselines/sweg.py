@@ -26,7 +26,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core import candidates, dispatch
-from ..graphs.ops import check_edges
+from ..graphs.ops import check_edges, check_param
 from ..model.flat import FlatSummary
 from .flat_encode import encode_flat
 
@@ -205,6 +205,7 @@ def sweg(
 ) -> SwegResult:
     """Run SWEG and return the optimally flat-encoded summary."""
     t0 = time.perf_counter()
+    check_param("T", T, T >= 0, "T >= 0")
     check_edges(edges, n_sub)
     dispatch.check_engine(engine, spark)
     group = np.arange(n_sub, dtype=np.int64)

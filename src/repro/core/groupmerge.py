@@ -7,7 +7,11 @@ saving clears the iteration threshold θ(t) (Eq. 9). Mergers re-encode
 p/n-edges locally via the memoized Case-1/Case-2 solvers
 (:mod:`repro.core.localenc`) and track the cross-group consolidation the
 global phase (:mod:`repro.core.consolidate`) will apply, so local Saving
-scores match the global outcome.
+scores match the global outcome. ``saving()`` and ``merge()`` share one
+path: the Case-2 rows of every connected root C come from one pass over
+the adjacency of the yellow panel, sorted into the memo key of
+``localenc.case2_outcome``; ``saving()`` adds up the memoized deltas and
+``merge()`` applies the memoized replacement.
 
 Worker input is one group's int64 rows ``(gid, kind, x, y, v)``, handed
 over by :mod:`repro.core.dispatch` as Python lists sorted by kind
@@ -225,43 +229,42 @@ class GroupWorker:
         )
 
     def _case1(self, a_root: int, b_root: int):
-        """(na, nb, flags, label2real incl. U=None, removal-with-labels)."""
+        """Yellow panel S̄_A ∪ S̄_B before the merge: (labels, reals, na, nb,
+        singleton flags, Case-1 rows (label_x, label_y, sign))."""
         la, ra, na, fa = self._panel(a_root, L.A, L.A0, L.A1)
         lb, rb, nb, fb = self._panel(b_root, L.B, L.B0, L.B1)
         labels = la + lb
         reals = ra + rb
-        real2label = dict(zip(reals, labels))
-        removal = []
+        rows = []
         for i in range(len(reals)):
             for j in range(i, len(reals)):
                 s = self.edges.get(_canon(reals[i], reals[j]))
                 if s is not None:
-                    removal.append((labels[i], labels[j], s))
-        return na, nb, fa + fb, real2label, reals, removal
+                    rows.append((labels[i], labels[j], s))
+        return labels, reals, na, nb, fa + fb, tuple(rows)
 
-    def _case2_targets(self, panel_reals: list[int]):
-        """Roots C with a p/n-edge between the yellow panel and S̄_C."""
-        out: set[int] = set()
-        panel_set = set(panel_reals)
-        for x in panel_reals:
-            for y in self.adj.get(x, {}):
-                if y in panel_set:
+    def _case2(self, labels: list[int], reals: list[int]):
+        """Case-2 inputs of every root C with a p/n-edge between the yellow
+        panel and S̄_C, in one pass over the panel's adjacency: (C, n_C,
+        rows) with rows (label_x, label_y, sign) sorted by (label_x,
+        label_y). An edge to a node deeper than C's children is not in
+        scope."""
+        panel = set(reals)
+        rows_of: dict[int, list[tuple[int, int, int]]] = {}
+        for lx, x in zip(labels, reals):
+            for y, s in self.adj.get(x, {}).items():
+                if y in panel:
                     continue
-                r = self.treeof(y)
-                if y == r or self.parent.get(y) == r:
-                    out.add(r)
-        return out
-
-    def _case2(self, panel_reals, real2label, c_root: int):
-        lc, rc, nc, _ = self._panel(c_root, L.C, L.C0, L.C1)
-        c_real2label = dict(zip(rc, lc))
-        removal = []
-        for x in panel_reals:
-            for y in rc:
-                s = self.edges.get(_canon(x, y))
-                if s is not None:
-                    removal.append((real2label[x], c_real2label[y], s))
-        return nc, c_real2label, rc, removal
+                c = self.treeof(y)
+                if y == c:
+                    ly = L.C
+                elif self.parent.get(y) == c:
+                    ly = L.C0 if self.children[c][0] == y else L.C1
+                else:
+                    continue
+                rows_of.setdefault(c, []).append((lx, ly, s))
+        return [(c, 2 if self.children.get(c) else 1, tuple(sorted(r)))
+                for c, r in rows_of.items()]
 
     def _shared_ext(self, a: int, b: int) -> list[tuple[int, int]]:
         """Root-level external (Y, sign) present at both A and B — exactly
@@ -273,18 +276,6 @@ class GroupWorker:
 
     # --------------------------------------------------------------- scoring
 
-    @staticmethod
-    def _label_deltas(deltas: dict[int, int], removed, added) -> None:
-        """Accumulate per-panel-label incident-edge deltas of one rewrite."""
-        for lx, ly, _ in removed:
-            deltas[lx] = deltas.get(lx, 0) - 1
-            if ly != lx:
-                deltas[ly] = deltas.get(ly, 0) - 1
-        for lx, ly, _ in added:
-            deltas[lx] = deltas.get(lx, 0) + 1
-            if ly != lx:
-                deltas[ly] = deltas.get(ly, 0) + 1
-
     def saving(self, a: int, b: int) -> float:
         """Eq. (8) with pruning-aware hierarchy cost: 1 − Cost_{A∪B}(Ĝ) /
         (Cost_A + Cost_B − Cost^P_{A,B}), where Cost^H charges only
@@ -294,37 +285,31 @@ class GroupWorker:
         den = self.eff_h(a) + self.eff_h(b) + self.inc[a] + self.inc[b] - self.pcnt(a, b)
         if den <= 0:
             return NO_MERGE
-        na, nb, flags, real2label, panel_reals, removal = self._case1(a, b)
-        deltas: dict[int, int] = {}
-        d1 = 0
-        sol = L.solve_case1(na, nb, flags, removal)
-        if sol is not None and len(sol) <= len(removal):
-            d1 = len(sol) - len(removal)
-            self._label_deltas(deltas, removal, sol)
-        d2 = 0
-        for c_root in self._case2_targets(panel_reals):
-            nc, _, _, removal2 = self._case2(panel_reals, real2label, c_root)
-            sol2 = L.solve_case2(na, nb, nc, removal2)
-            if sol2 is not None and len(sol2) <= len(removal2):
-                d2 += len(sol2) - len(removal2)
-                self._label_deltas(deltas, removal2, sol2)
+        labels, reals, na, nb, flags, rows = self._case1(a, b)
+        _, d, deltas = L.case1_outcome(na, nb, flags, rows)
+        du, da, db = deltas[L.U], deltas[L.A], deltas[L.B]
+        for _, nc, rows2 in self._case2(labels, reals):
+            _, d2, deltas = L.case2_outcome(na, nb, nc, rows2)
+            d += d2
+            du += deltas[L.U]
+            da += deltas[L.A]
+            db += deltas[L.B]
         dext = len(self._shared_ext(a, b))
         # h-cost adjustment: nodes left edge-less by the rewrite get pruned
         adj = 0
-        for root_node, label in ((a, L.A), (b, L.B)):
+        for root_node, delta in ((a, da), (b, db)):
             if self.children.get(root_node):
-                after = self.ndeg[root_node] + deltas.get(label, 0) - dext
+                after = self.ndeg[root_node] + delta - dext
                 if self.ndeg[root_node] > 0 and after == 0:
                     adj += 1
                 elif self.ndeg[root_node] == 0 and after > 0:
                     adj -= 1
-        ndeg_u = deltas.get(L.U, 0) + dext
-        if ndeg_u == 0:
+        if du + dext == 0:
             adj += 2  # U itself would be pruned (the merge is a no-op)
         num = (
             self.eff_h(a) + self.eff_h(b) + 2 - adj
             + self.inc[a] + self.inc[b] - self.pcnt(a, b)
-            + d1 + d2 - dext
+            + d - dext
         )
         return 1.0 - num / den
 
@@ -333,14 +318,10 @@ class GroupWorker:
     def merge(self, a: int, b: int, u: int) -> None:
         """Merge roots a, b into new root u and re-encode locally."""
         # Case-1/Case-2 geometry is computed against the *pre-merge* trees.
-        na, nb, flags, real2label, panel_reals, removal = self._case1(a, b)
-        case2_plan = []
-        for c_root in self._case2_targets(panel_reals):
-            nc, c_real2label, rc, removal2 = self._case2(panel_reals, real2label, c_root)
-            sol2 = L.solve_case2(na, nb, nc, removal2)
-            if sol2 is not None and len(sol2) <= len(removal2):
-                case2_plan.append((c_real2label, removal2, sol2, real2label))
-        sol1 = L.solve_case1(na, nb, flags, removal)
+        labels, reals, na, nb, flags, rows = self._case1(a, b)
+        plan = [(c, rows2, L.case2_outcome(na, nb, nc, rows2)[0])
+                for c, nc, rows2 in self._case2(labels, reals)]
+        sol1 = L.case1_outcome(na, nb, flags, rows)[0]
         shared = self._shared_ext(a, b)
 
         # --- structural merge ---
@@ -388,23 +369,13 @@ class GroupWorker:
             self.nbr[z].discard(b)
             self.nbr[z].add(u)
 
-        # --- apply Case 1 ---
-        label2real = {v: k for k, v in real2label.items()}
+        # --- apply Case 1, then Case 2 per connected root ---
+        label2real = dict(zip(labels, reals))
         label2real[L.U] = u
-        if sol1 is not None and len(sol1) <= len(removal):
-            for lx, ly, _ in removal:
-                self._remove_edge(label2real[lx], label2real[ly])
-            for lx, ly, s in sol1:
-                self._add_edge(label2real[lx], label2real[ly], s)
-        # --- apply Case 2 per connected root ---
-        for c_real2label, removal2, sol2, r2l in case2_plan:
-            l2r = {v: k for k, v in r2l.items()}
-            l2r[L.U] = u
-            l2r.update({v: k for k, v in c_real2label.items()})
-            for lx, ly, _ in removal2:
-                self._remove_edge(l2r[lx], l2r[ly])
-            for lx, ly, s in sol2:
-                self._add_edge(l2r[lx], l2r[ly], s)
+        self._rewrite(label2real, rows, sol1)
+        for c, rows2, sol2 in plan:
+            label2real.update(zip((L.C, L.C0, L.C1), [c, *self.children.get(c, ())]))
+            self._rewrite(label2real, rows2, sol2)
         # --- mirror the global consolidation locally (virtual lift) ---
         for y, s in shared:
             del self.ext_adj[a][y]
@@ -415,6 +386,16 @@ class GroupWorker:
             self._bump_ndeg(b, -1)
             self._bump_ndeg(u, 1)
         self.merges.append((a, b, u))
+
+    def _rewrite(self, label2real: dict[int, int], rows, sol) -> None:
+        """Replace the edges ``rows`` by ``sol`` (both labelled); None keeps
+        the old edges."""
+        if sol is None:
+            return
+        for lx, ly, _ in rows:
+            self._remove_edge(label2real[lx], label2real[ly])
+        for lx, ly, s in sol:
+            self._add_edge(label2real[lx], label2real[ly], s)
 
     # ------------------------------------------------------------- main loop
 

@@ -15,10 +15,22 @@ a leaf). Removing the in-scope edges subtracts a signed *coverage*
 restores precisely that coverage. The solver finds a minimum-cardinality
 signed edge set over the panel's *slots* (unordered supernode pairs plus
 self-loops on supernodes with ≥2 subnodes) restoring ``c`` — via
-iterative-deepening DFS with suffix-coverage pruning, results memoized on
-the (structure, target) signature. The memo is input-graph independent,
-exactly as in the paper ("the memoized results ... can even be used when
-summarizing different input graphs").
+iterative-deepening DFS with suffix-coverage pruning.
+
+Two memo levels, both input-graph independent, exactly as in the paper
+("the memoized results ... can even be used when summarizing different
+input graphs"), and both alive for the whole process:
+
+- the *search* memo keys the IDDFS result on (structure, target);
+- the Case-2 *outcome* memo sits in front of it, keyed on the labelled
+  rows themselves, ``(na, nb, nc, rows)``, and holds what a caller needs
+  (:func:`case2_outcome`): the replacement rows, the edge-count delta
+  and the per-label incident-edge deltas. A hit is one dict lookup: no
+  coverage, no target and no search. Case 1 is called ~20× less often
+  and goes straight to the search memo (:func:`case1_outcome`).
+
+:func:`stats` counts outcome-memo hits and misses, IDDFS searches run and
+``NODE_BUDGET`` give-ups.
 
 If no strictly smaller edge set is found within the depth/node budget,
 the caller keeps the old edges (always feasible), so the budget bounds
@@ -37,12 +49,21 @@ U, A, A0, A1, B, B0, B1, C, C0, C1 = range(10)
 MAX_DEPTH = 6  # deepest replacement edge set searched for
 NODE_BUDGET = 300_000  # DFS node cap per (structure, target) before giving up
 
-_memo: dict[tuple, tuple | None] = {}
+_memo: dict[tuple, tuple | None] = {}  # (structure, target) -> search result
+_outcomes: dict[tuple, tuple] = {}  # (na, nb, nc, rows) -> case2_outcome()
+_stats = {"outcome_hits": 0, "outcome_misses": 0, "searches": 0, "budget_giveups": 0}
 
 
 def memo_size() -> int:
     """Number of memoized (structure, target) cases (for tests/telemetry)."""
     return len(_memo)
+
+
+def stats() -> dict[str, int]:
+    """Process-wide solver counters: Case-2 outcome-memo hits and misses,
+    IDDFS searches run and searches given up at ``NODE_BUDGET`` (which
+    keep the old edges, so they cost conciseness, never correctness)."""
+    return dict(_stats)
 
 
 class _Panel:
@@ -189,6 +210,7 @@ def _search(slots: list[tuple[tuple[int, int], tuple[int, ...]]],
             if r is not None:
                 return r
     except _Budget:
+        _stats["budget_giveups"] += 1
         return None
     return None
 
@@ -202,6 +224,7 @@ def _solve(panel: _Panel, key: tuple, target: tuple[int, ...], old_size: int):
     if full_key in _memo:
         sol = _memo[full_key]
     else:
+        _stats["searches"] += 1
         sol = _search(panel.slots, target, MAX_DEPTH)
         _memo[full_key] = tuple(sol) if sol is not None else None
         sol = _memo[full_key]
@@ -240,3 +263,36 @@ def solve_case2(na: int, nb: int, nc: int,
         for p in range(len(target)):
             target[p] += s * cov[p]
     return _solve(panel, ("c2", na, nb, nc), tuple(target), len(removed))
+
+
+def _outcome(rows: tuple, sol) -> tuple:
+    """(replacement or None, edge-count delta, per-label incident-edge
+    deltas indexed by label) of rewriting ``rows`` into ``sol``."""
+    deltas = [0] * (C1 + 1)
+    if sol is None:
+        return None, 0, tuple(deltas)
+    for sign, edges in ((-1, rows), (1, sol)):
+        for lx, ly, _ in edges:
+            deltas[lx] += sign
+            if ly != lx:
+                deltas[ly] += sign
+    return tuple(sol), len(sol) - len(rows), tuple(deltas)
+
+
+def case1_outcome(na: int, nb: int, singleton: tuple[bool, ...], rows: tuple):
+    """Outcome (see :func:`_outcome`) of re-encoding the Case-1 ``rows``."""
+    return _outcome(rows, solve_case1(na, nb, singleton, rows))
+
+
+def case2_outcome(na: int, nb: int, nc: int, rows: tuple):
+    """Outcome (see :func:`_outcome`) of re-encoding the Case-2 ``rows``,
+    memoized on ``(na, nb, nc, rows)``. ``rows`` must be sorted by
+    (label_x, label_y): the replacement is applied in row order."""
+    key = (na, nb, nc, rows)
+    out = _outcomes.get(key)
+    if out is None:
+        _stats["outcome_misses"] += 1
+        out = _outcomes[key] = _outcome(rows, solve_case2(na, nb, nc, rows))
+    else:
+        _stats["outcome_hits"] += 1
+    return out

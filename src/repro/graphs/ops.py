@@ -45,6 +45,14 @@ def check_edges(edges: pd.DataFrame, n_sub: int) -> None:
         raise ValueError(f"duplicate pair ({s[i]}, {d[i]}) in edges")
 
 
+def check_param(name: str, value, ok: bool, need: str) -> None:
+    """Reject a parameter value outside its range with a ``ValueError``
+    naming the parameter. Summarizers check their parameters at entry,
+    before any work, so a bad value never runs silently."""
+    if not ok:
+        raise ValueError(f"{name}={value!r} is out of range: need {need}")
+
+
 def canonicalize_pd(edges: pd.DataFrame) -> pd.DataFrame:
     """Canonicalize a pandas edge list (order endpoints, dedup, drop loops)."""
     lo = np.minimum(edges["src"].to_numpy(), edges["dst"].to_numpy())

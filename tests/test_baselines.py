@@ -201,3 +201,24 @@ class TestInputContract:
         edges = pd.DataFrame({"src": src, "dst": dst})
         with pytest.raises(ValueError, match=msg):
             self.ENTRY[entry](edges, 3)
+
+    @pytest.mark.parametrize("entry,kwargs,msg", [
+        ("sags", {"h": 10, "b": 20}, r"b=20 is out of range: need 1 <= b <= h \(h=10\)"),
+        ("sags", {"b": 0}, r"b=0 is out of range"),
+        ("sags", {"h": 0, "b": 1}, r"h=0 is out of range: need h >= 1"),
+        ("sags", {"p": 1.5}, r"p=1.5 is out of range: need 0 <= p <= 1"),
+        ("sags", {"p": -0.1}, r"p=-0.1 is out of range"),
+        ("mosso", {"e": 1.1}, r"e=1.1 is out of range: need 0 <= e <= 1"),
+        ("mosso", {"c": 0}, r"c=0 is out of range: need c >= 1"),
+        ("mosso", {"time_limit_s": -0.5}, r"time_limit_s=-0.5 is out of range: need time_limit_s >= 0"),
+        ("randomized", {"max_candidates": 0}, r"max_candidates=0 is out of range"),
+        ("randomized", {"time_limit_s": -1.0}, r"time_limit_s=-1.0 is out of range"),
+        ("sweg", {"T": -1}, r"T=-1 is out of range: need T >= 0"),
+    ], ids=["sags-b_above_h", "sags-b0", "sags-h0", "sags-p_above_1", "sags-p_below_0",
+            "mosso-e", "mosso-c", "mosso-time_limit", "randomized-max_candidates",
+            "randomized-time_limit", "sweg-T"])
+    def test_bad_parameters_rejected(self, entry, kwargs, msg):
+        edges = pd.DataFrame({"src": [0, 1], "dst": [1, 2]})
+        run = {"sweg": sweg, "sags": sags, "randomized": randomized, "mosso": mosso}[entry]
+        with pytest.raises(ValueError, match=msg):
+            run(None, edges, 3, **kwargs)

@@ -2,6 +2,7 @@
 import pytest
 
 from repro.core import groupmerge as gm
+from repro.core import localenc as L
 from repro.core.dispatch import MERGE
 
 
@@ -126,6 +127,32 @@ class TestMergeEncoding:
         w.merge(0, 1, U0)
         assert w.edges == {(2, U0): 1}
         assert w.inc[2] == 1 and w.inc[U0] == 1
+
+    # C = 20 has children 10 (itself internal: 2, 3) and 4; A = 0 and B = 1
+    # are leaves. Edges A-10, A-4, B-4 are Case-2 rows (A,C0), (A,C1),
+    # (B,C1); B-2 reaches a grandchild of C and stays out of scope.
+    C_TREE = [(20, 10), (20, 4), (10, 2), (10, 3)]
+    C_EDGES = [(0, 10, 1), (0, 4, 1), (1, 4, 1), (1, 2, 1)]
+
+    def test_case2_to_children_of_internal_root(self):
+        w = make_worker([0, 1, 20], hedges=self.C_TREE, pedges=self.C_EDGES)
+        # 3 rows -> p(U,C) + n(B,C0): den = 4, num = 2 + 4 - 1 = 5
+        assert w.saving(0, 1) == -0.25
+        w.merge(0, 1, U0)
+        assert w.edges == {(1, 2): 1, (20, U0): 1, (1, 10): -1}
+
+    def test_case2_row_order_does_not_matter(self):
+        w = make_worker([0, 1, 20], hedges=self.C_TREE, pedges=self.C_EDGES)
+        want = w.saving(0, 1)
+        w.merge(0, 1, U0)
+        before = L.stats()
+        w2 = make_worker([0, 1, 20], hedges=self.C_TREE, pedges=self.C_EDGES[::-1])
+        assert w2.saving(0, 1) == want
+        w2.merge(0, 1, U0)
+        assert w2.edges == w.edges
+        after = L.stats()
+        assert after["outcome_misses"] == before["outcome_misses"]
+        assert after["outcome_hits"] == before["outcome_hits"] + 2
 
     def test_run_respects_theta(self):
         # theta=0.6 > any achievable saving here -> no merges

@@ -196,3 +196,54 @@ class TestMemoization:
         grew = L.memo_size() - base
         L.solve_case2(1, 1, 1, [(A, C, 1), (B, C, 1)])
         assert L.memo_size() - base == grew
+
+
+class TestCase2Outcome:
+    def test_outcome_matches_solver(self):
+        rows = ((A, C, 1), (B, C, 1))
+        sol, d, deltas = L.case2_outcome(1, 1, 1, rows)
+        assert sol == ((U, C, 1),) and d == -1
+        assert deltas[A] == deltas[B] == -1 and deltas[U] == 1 and deltas[C] == -1
+
+    def test_no_gain_keeps_rows(self):
+        # a single edge cannot shrink: the caller keeps it (ties re-encode)
+        sol, d, deltas = L.case2_outcome(2, 1, 1, ((A, C, 1),))
+        assert sol is not None and d == 0 and sum(deltas) == 0
+
+
+@pytest.fixture
+def fresh_solver(monkeypatch):
+    """Empty memos and zeroed counters, restored after the test."""
+    monkeypatch.setattr(L, "_memo", {})
+    monkeypatch.setattr(L, "_outcomes", {})
+    monkeypatch.setattr(L, "_stats", dict.fromkeys(L.stats(), 0))
+
+
+class TestStats:
+    ROWS = ((A, C0, 1), (A, C1, 1), (B, C1, 1))
+
+    def test_outcome_miss_then_hit(self, fresh_solver):
+        L.case2_outcome(1, 1, 2, self.ROWS)
+        assert L.stats()["outcome_misses"] == 1 and L.stats()["outcome_hits"] == 0
+        L.case2_outcome(1, 1, 2, self.ROWS)
+        assert L.stats()["outcome_misses"] == 1 and L.stats()["outcome_hits"] == 1
+
+    def test_searches_count_search_memo_misses(self, fresh_solver):
+        L.case2_outcome(1, 1, 2, self.ROWS)
+        assert L.stats()["searches"] == 1 == L.memo_size()
+        # new rows, same coverage target: a new outcome, no new search
+        L.case2_outcome(1, 1, 2, ((A, C, 1), (B, C1, 1)))
+        assert L.stats()["outcome_misses"] == 2 and L.stats()["searches"] == 1
+        # Case 1 goes to the search memo directly
+        L.solve_case1(1, 1, (True, True), [(A, B, 1)])
+        assert L.stats()["searches"] == 2 and L.stats()["outcome_misses"] == 2
+
+    def test_budget_giveup_keeps_old_edges(self, fresh_solver, monkeypatch):
+        monkeypatch.setattr(L, "NODE_BUDGET", 1)
+        sol, d, _ = L.case2_outcome(1, 1, 1, ((A, C, 1), (B, C, 1)))
+        assert sol is None and d == 0
+        assert L.stats()["budget_giveups"] == 1 and L.stats()["searches"] == 1
+
+    def test_stats_is_a_copy(self, fresh_solver):
+        L.stats()["searches"] = 99
+        assert L.stats()["searches"] == 0

@@ -8,6 +8,7 @@ import pandas as pd
 import pytest
 
 from repro.core import candidates
+from repro.core import localenc
 from repro.core.slugger import slugger
 from repro.graphs import datasets
 from repro.graphs import generators as gen
@@ -94,6 +95,21 @@ class TestGolden:
         res = slugger(edges, n, T=4, seed=0, engine="local")
         assert summary_hash(res.summary) == want
         assert_lossless_pd(res.summary, edges)
+
+
+class TestSolverMemo:
+    """Deterministic perf guard (counts, no timing): nearly every Case-2
+    re-encoding is an outcome-memo hit, and IDDFS runs for few of them."""
+
+    def test_case2_outcomes_memoized(self):
+        edges, n = complexes_graph()
+        before = localenc.stats()
+        slugger(edges, n, T=3, seed=0, engine="local")
+        d = {k: v - before[k] for k, v in localenc.stats().items()}
+        lookups = d["outcome_hits"] + d["outcome_misses"]
+        assert lookups >= 1000
+        assert d["searches"] <= lookups / 10
+        assert d["outcome_misses"] <= lookups / 10
 
 
 class TestEngines:
